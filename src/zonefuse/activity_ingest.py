@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .geo_grid import GeoPoint, GridIndex, haversine_m
+from .sparse_io import load_coo, save_coo
 
 logger = logging.getLogger(__name__)
 
@@ -254,11 +255,7 @@ class HapMatrix:
         return 1.0 - self.data.nnz / float(self.q * self.r)
 
     def save(self, coo_path, sidecar_path) -> None:
-        coo = sp.coo_array(self.data)
-        order = np.lexsort((coo.col, coo.row))
-        with open(coo_path, "w") as fh:
-            for i in order:
-                fh.write(f"{coo.row[i]} {coo.col[i]} {int(coo.data[i])}\n")
+        save_coo(coo_path, self.data)
         sidecar = {"r": self.r, "s": self.s, "q": self.q, "kinds": list(self.kinds),
                    "timezone": self.tz, "nnz": int(self.data.nnz)}
         with open(sidecar_path, "w") as fh:
@@ -269,18 +266,8 @@ class HapMatrix:
     def load(cls, coo_path, sidecar_path) -> "HapMatrix":
         with open(sidecar_path) as fh:
             meta = json.load(fh)
-        rows, cols, vals = [], [], []
-        with open(coo_path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                a, b, v = line.split()
-                rows.append(int(a))
-                cols.append(int(b))
-                vals.append(float(v))
-        q, r = meta["q"], meta["r"]
-        data = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(q, r)))
-        return cls(data=data, r=r, s=meta["s"], kinds=tuple(meta["kinds"]),
+        data = load_coo(coo_path, (meta["q"], meta["r"]))
+        return cls(data=data, r=meta["r"], s=meta["s"], kinds=tuple(meta["kinds"]),
                    tz=meta["timezone"])
 
 

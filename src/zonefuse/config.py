@@ -60,7 +60,6 @@ class PipelineConfig:
     rho: float = 0.999
     epsilon: float = 1e-8
     max_iter: int = 2000
-    update_mode: str = "gauss_seidel"
     mask_mode: str = "column"
     # clustering and annotation
     method: str = "crf"
@@ -105,8 +104,7 @@ class PipelineConfig:
                            lambda3=self.lambda3, lambda4=self.lambda4,
                            lambda5=self.lambda5, alpha0=self.alpha0,
                            rho=self.rho, epsilon=self.epsilon,
-                           max_iter=self.max_iter, seed=self.seed,
-                           update_mode=self.update_mode)
+                           max_iter=self.max_iter, seed=self.seed)
 
     def to_text(self) -> str:
         lines = []

@@ -196,19 +196,23 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
 class GridIndex:
     """The enumerated cells of a study bounding box at one level.
 
-    Cells are listed row-major: latitude rows south to north, each row
-    west to east.  The list position of a cell is its region column index
-    everywhere else in the pipeline.
+    The cells form a full rectangle of shape (n_rows, n_cols) whose
+    south-west cell sits at integer (row, col) `origin` on the level's
+    lattice.  Cells are listed row-major: latitude rows south to north,
+    each row west to east.  The list position of a cell is its region
+    column index everywhere else in the pipeline.
     """
 
     bbox: Box
     level: int
-    cells: list[CellId]
-    index: dict[CellId, int] = field(default_factory=dict)
+    origin: tuple[int, int]
+    shape: tuple[int, int]
+    cells: list[CellId] = field(init=False)
+    index: dict[CellId, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {c: i for i, c in enumerate(self.cells)}
+        self.cells = _rectangle_cells(self.level, self.origin, self.shape)
+        self.index = {c: i for i, c in enumerate(self.cells)}
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -217,7 +221,13 @@ class GridIndex:
         return self.index.get(cell)
 
     def column_of_point(self, p: GeoPoint) -> int | None:
-        return self.index.get(encode(p, self.level))
+        row, col = _cell_coords(p, self.level)
+        row -= self.origin[0]
+        col -= self.origin[1]
+        n_rows, n_cols = self.shape
+        if 0 <= row < n_rows and 0 <= col < n_cols:
+            return row * n_cols + col
+        return None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -230,21 +240,44 @@ class GridIndex:
 
     @classmethod
     def from_csv(cls, path) -> "GridIndex":
-        cells: list[CellId] = []
+        """Reload a grid written by to_csv.
+
+        The first and last cells fix the rectangle; a file listing any
+        other cells or order than that rectangle row-major is rejected.
+        """
+        codes: list[str] = []
         with open(path, newline="") as fh:
             for i, row in enumerate(csv.DictReader(fh)):
                 if int(row["column_index"]) != i:
                     raise ValueError(f"{path}: column_index out of order at row {i}")
-                cells.append(CellId.of(row["geohash"]))
-        if not cells:
+                codes.append(row["geohash"])
+        if not codes:
             raise ValueError(f"{path}: empty cell manifest")
-        level = cells[0].level
-        boxes = [decode(c) for c in cells]
-        # The stored extent is the union of cell boxes, which covers the
-        # original bbox; downstream stages only need cells and indices.
-        bbox = Box(min(b.min_lat for b in boxes), min(b.min_lon for b in boxes),
-                   max(b.max_lat for b in boxes), max(b.max_lon for b in boxes))
-        return cls(bbox=bbox, level=level, cells=cells)
+        first, last = CellId.of(codes[0]), CellId.of(codes[-1])
+        row0, col0 = _code_to_coords(first.code)
+        row1, col1 = _code_to_coords(last.code)
+        shape = (row1 - row0 + 1, col1 - col0 + 1)
+        # checked before building, so a corrupt corner cannot ask for a
+        # rectangle far larger than the file
+        if (last.level != first.level or min(shape) < 1
+                or shape[0] * shape[1] != len(codes)):
+            raise ValueError(f"{path}: cells do not form a row-major rectangle")
+        sw, ne = decode(first), decode(last)
+        grid = cls(bbox=Box(sw.min_lat, sw.min_lon, ne.max_lat, ne.max_lon),
+                   level=first.level, origin=(row0, col0), shape=shape)
+        if [c.code for c in grid.cells] != codes:
+            raise ValueError(f"{path}: cells do not form a row-major rectangle")
+        return grid
+
+
+def _rectangle_cells(level: int, origin: tuple[int, int],
+                     shape: tuple[int, int]) -> list[CellId]:
+    """The cells of a lattice rectangle, row-major from its south-west cell."""
+    row0, col0 = origin
+    n_rows, n_cols = shape
+    return [CellId(_coords_to_code(lat_idx, lon_idx, level), level)
+            for lat_idx in range(row0, row0 + n_rows)
+            for lon_idx in range(col0, col0 + n_cols)]
 
 
 def enumerate_cells(bbox: Box, level: int) -> GridIndex:
@@ -277,37 +310,5 @@ def enumerate_cells(bbox: Box, level: int) -> GridIndex:
         lat_hi -= 1
     if lon_hi > lon_lo and -180.0 + lon_hi * lon_span >= ne.lon:
         lon_hi -= 1
-    cells: list[CellId] = []
-    for lat_idx in range(lat_lo, lat_hi + 1):
-        for lon_idx in range(lon_lo, lon_hi + 1):
-            cells.append(CellId(_coords_to_code(lat_idx, lon_idx, level), level))
-    return GridIndex(bbox=bbox, level=level, cells=cells)
-
-
-def neighbors8(cell: CellId, grid: GridIndex) -> list[CellId]:
-    """The up-to-8 surrounding cells of one cell, filtered to the grid.
-
-    Computed by offsetting the decoded cell center one span per axis and
-    re-encoding, which avoids per-level bit tables.  Returned row-major
-    (south row, own row, north row; west to east) for determinism.
-    """
-    box = decode(cell)
-    c = box.center()
-    lat_span, lon_span = cell_spans(cell.level)
-    out: list[CellId] = []
-    for dlat in (-1, 0, 1):
-        for dlon in (-1, 0, 1):
-            if dlat == 0 and dlon == 0:
-                continue
-            lat = c.lat + dlat * lat_span
-            lon = c.lon + dlon * lon_span
-            if not -90.0 <= lat <= 90.0:
-                continue
-            if lon < -180.0:
-                lon += 360.0
-            elif lon > 180.0:
-                lon -= 360.0
-            cand = encode(GeoPoint(lat, lon), cell.level)
-            if cand in grid.index:
-                out.append(cand)
-    return out
+    return GridIndex(bbox=bbox, level=level, origin=(lat_lo, lon_lo),
+                     shape=(lat_hi - lat_lo + 1, lon_hi - lon_lo + 1))

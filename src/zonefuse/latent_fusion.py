@@ -14,8 +14,8 @@ by proximal gradient descent on
 
 The L1 block A takes a soft-threshold proximal step; every other block
 takes a plain gradient step.  Updates run in Gauss-Seidel order U, V, Q,
-Z, A, W by default (each block sees the newest values), with a Jacobi
-mode behind a switch.  The step size decays geometrically per iteration.
+Z, A, W (each block sees the newest values).  The step size decays
+geometrically per iteration.
 """
 from __future__ import annotations
 
@@ -31,8 +31,6 @@ import scipy.sparse as sp
 from .errors import DivergenceError
 
 logger = logging.getLogger(__name__)
-
-UPDATE_MODES = ("gauss_seidel", "jacobi")
 
 TERM_NAMES = ("recon", "transform", "z_recon", "l1", "regression", "ridge")
 
@@ -52,7 +50,6 @@ class Hyperparams:
     epsilon: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
-    update_mode: str = "gauss_seidel"
 
     def __post_init__(self):
         if self.k < 1:
@@ -68,8 +65,6 @@ class Hyperparams:
             raise ValueError("epsilon must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.update_mode not in UPDATE_MODES:
-            raise ValueError(f"update_mode must be one of {UPDATE_MODES}")
 
 
 @dataclass
@@ -292,21 +287,12 @@ def fit(P, I, T, h: Hyperparams,
     # steps; the guard reports it, so the warnings are suppressed here.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, h.max_iter + 1):
-            if h.update_mode == "jacobi":
-                g = gradients(P, I, T, f, h)
-                f.U = f.U - alpha * g["U"]
-                f.V = f.V - alpha * g["V"]
-                f.Q = f.Q - alpha * g["Q"]
-                f.Z = f.Z - alpha * g["Z"]
-                f.A = soft_threshold(f.A - alpha * g["A"], alpha * h.lambda3)
-                f.W = f.W - alpha * g["W"]
-            else:
-                f.U = f.U - alpha * _grad_U(P, I, T, f, h)
-                f.V = f.V - alpha * _grad_V(P, I, T, f, h)
-                f.Q = f.Q - alpha * _grad_Q(P, I, T, f, h)
-                f.Z = f.Z - alpha * _grad_Z(P, I, T, f, h)
-                f.A = soft_threshold(f.A - alpha * _grad_A(P, I, T, f, h), alpha * h.lambda3)
-                f.W = f.W - alpha * _grad_W(P, I, T, f, h)
+            f.U = f.U - alpha * _grad_U(P, I, T, f, h)
+            f.V = f.V - alpha * _grad_V(P, I, T, f, h)
+            f.Q = f.Q - alpha * _grad_Q(P, I, T, f, h)
+            f.Z = f.Z - alpha * _grad_Z(P, I, T, f, h)
+            f.A = soft_threshold(f.A - alpha * _grad_A(P, I, T, f, h), alpha * h.lambda3)
+            f.W = f.W - alpha * _grad_W(P, I, T, f, h)
             used_alpha = alpha
             alpha *= h.rho
             total, terms = objective(P, I, T, f, h)

@@ -26,7 +26,7 @@ from .poi_ingest import (CategoryTable, FeatureMatrix, PoiMatrix,
                          build_poi_matrix, parse_pois, raw_poi_features,
                          svd_features, tfidf_transform)
 from .zone_annotate import build_profiles, format_report, ranked_report, save_report
-from .zone_cluster import (ZoneModel, adjacency_from_grid, crf_fit, kmeans,
+from .zone_cluster import (ZoneModel, crf_fit, kmeans, lattice_adjacency,
                            load_labels, save_labels)
 
 logger = logging.getLogger(__name__)
@@ -135,8 +135,8 @@ class Pipeline:
             paths.append(p)
         return paths
 
-    def _grid(self) -> GridIndex:
-        (path,) = self._require("current", "cells.csv")
+    def _grid(self, stage: str) -> GridIndex:
+        (path,) = self._require(stage, "cells.csv")
         return GridIndex.from_csv(path)
 
     def _categories(self) -> CategoryTable:
@@ -155,7 +155,7 @@ class Pipeline:
 
     def _stage_ingest_gps(self) -> dict:
         cfg = self.cfg
-        grid = self._grid()
+        grid = self._grid("ingest-gps")
         trajectories, malformed = parse_gps(cfg.gps_path,
                                             weekdays_only=cfg.weekdays_only,
                                             tz=cfg.timezone)
@@ -176,7 +176,7 @@ class Pipeline:
                 "trip_records": len(infos), "hap_sparsity": hap.sparsity()}
 
     def _stage_ingest_poi(self) -> dict:
-        grid = self._grid()
+        grid = self._grid("ingest-poi")
         categories = self._categories()
         records, rejects = parse_pois(self.cfg.poi_path, categories)
         poi = build_poi_matrix(records, grid, categories)
@@ -214,7 +214,7 @@ class Pipeline:
 
     def _stage_cluster(self) -> dict:
         cfg = self.cfg
-        grid = self._grid()
+        grid = self._grid("cluster")
         self._require("cluster", "poi.coo")
         if cfg.feature in ("latent_v", "latent_z"):
             self._require("cluster", "factors/shapes.json")
@@ -222,8 +222,8 @@ class Pipeline:
         F = self._features(poi)
         notes = {"method": cfg.method, "feature": cfg.feature, "zones": cfg.zones}
         if cfg.method == "crf":
-            adj = adjacency_from_grid(grid)
-            model = crf_fit(F, adj, c=cfg.zones, beta=cfg.beta, seed=cfg.seed)
+            model = crf_fit(F, lattice_adjacency(*grid.shape), c=cfg.zones,
+                            beta=cfg.beta, seed=cfg.seed)
             labels = model.labels
             model.save(self.out / "model.json")
         else:
@@ -233,7 +233,7 @@ class Pipeline:
         return notes
 
     def _stage_annotate(self) -> dict:
-        grid = self._grid()
+        grid = self._grid("annotate")
         self._require("annotate", "labels.csv", "poi.coo")
         codes, labels = load_labels(self.out / "labels.csv")
         if codes != [c.code for c in grid.cells]:

@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 from .errors import DataError
 from .geo_grid import GeoPoint, GridIndex
+from .sparse_io import load_coo, save_coo
 
 logger = logging.getLogger(__name__)
 
@@ -198,11 +199,7 @@ class PoiMatrix:
         return float(self.mask.mean()) if self.mask.size else 0.0
 
     def save(self, coo_path, sidecar_path) -> None:
-        coo = sp.coo_array(self.P)
-        order = np.lexsort((coo.col, coo.row))
-        with open(coo_path, "w") as fh:
-            for i in order:
-                fh.write(f"{coo.row[i]} {coo.col[i]} {int(coo.data[i])}\n")
+        save_coo(coo_path, self.P)
         sidecar = {"r": int(self.r), "n_categories": int(self.n_categories),
                    "categories": list(self.categories), "nnz": int(self.P.nnz),
                    "dropped": int(self.dropped)}
@@ -214,17 +211,7 @@ class PoiMatrix:
     def load(cls, coo_path, sidecar_path) -> "PoiMatrix":
         with open(sidecar_path) as fh:
             meta = json.load(fh)
-        rows, cols, vals = [], [], []
-        with open(coo_path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                a, b, v = line.split()
-                rows.append(int(a))
-                cols.append(int(b))
-                vals.append(float(v))
-        shape = (meta["n_categories"], meta["r"])
-        P = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=shape))
+        P = load_coo(coo_path, (meta["n_categories"], meta["r"]))
         mask = np.asarray((P > 0).sum(axis=0)).ravel() > 0
         return cls(P=P, mask=mask, categories=list(meta["categories"]),
                    dropped=int(meta.get("dropped", 0)))

@@ -148,9 +148,9 @@ def city_grid(spec: SynthCitySpec) -> GridIndex:
     bbox = Box(lat0, lon0, lat0 + spec.height * lat_span,
                lon0 + spec.width * lon_span)
     grid = enumerate_cells(bbox, spec.level)
-    if len(grid) != spec.width * spec.height:
-        raise AssertionError(f"snapped grid has {len(grid)} cells, "
-                             f"expected {spec.width * spec.height}")
+    if grid.shape != (spec.height, spec.width):
+        raise AssertionError(f"snapped grid has shape {grid.shape}, "
+                             f"expected {(spec.height, spec.width)}")
     return grid
 
 

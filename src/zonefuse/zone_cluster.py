@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo_grid import CellId, GridIndex, neighbors8
+from .geo_grid import CellId
 from .poi_ingest import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -40,39 +40,31 @@ class Adjacency:
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Unordered neighbor pairs as (i, j) arrays with i < j."""
-        pi, pj = [], []
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs:
-                if i < j:
-                    pi.append(i)
-                    pj.append(int(j))
-        return np.asarray(pi, dtype=np.int64), np.asarray(pj, dtype=np.int64)
+        pi = np.repeat(np.arange(len(self.neighbors), dtype=np.int64),
+                       [len(n) for n in self.neighbors])
+        pj = np.concatenate([np.empty(0, dtype=np.int64), *self.neighbors])
+        keep = pi < pj
+        return pi[keep], pj[keep]
 
 
-def adjacency_from_grid(grid: GridIndex) -> Adjacency:
-    """8-neighbor adjacency over the region columns of a grid."""
-    neighbors = []
-    for cell in grid.cells:
-        idx = sorted(grid.index[n] for n in neighbors8(cell, grid))
-        neighbors.append(np.asarray(idx, dtype=np.int64))
-    return Adjacency(neighbors=neighbors)
+# (row, col) offsets of the 8 neighbors, in increasing row-major index order
+_OFFSETS = np.array([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                     if dr or dc], dtype=np.int64)
 
 
 def lattice_adjacency(n_rows: int, n_cols: int) -> Adjacency:
-    """8-neighbor adjacency of a bare row-major lattice (for small studies)."""
-    neighbors = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            idx = []
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < n_rows and 0 <= cc < n_cols:
-                        idx.append(rr * n_cols + cc)
-            neighbors.append(np.asarray(sorted(idx), dtype=np.int64))
-    return Adjacency(neighbors=neighbors)
+    """8-neighbor adjacency of a row-major n_rows x n_cols lattice, such as
+    a GridIndex of that shape.
+
+    Each region's neighbor indices come out sorted.  Longitude does not
+    wrap: a grid spanning all 360 degrees has no neighbors across 180.
+    """
+    rows, cols = np.divmod(np.arange(n_rows * n_cols, dtype=np.int64), n_cols)
+    rr = rows[:, None] + _OFFSETS[:, 0]
+    cc = cols[:, None] + _OFFSETS[:, 1]
+    inside = (rr >= 0) & (rr < n_rows) & (cc >= 0) & (cc < n_cols)
+    flat = (rr * n_cols + cc)[inside]
+    return Adjacency(neighbors=np.split(flat, np.cumsum(inside.sum(axis=1))[:-1]))
 
 
 @dataclass
@@ -219,7 +211,7 @@ def icm_map(labels, F, model: ZoneModel, adj: Adjacency,
     Regions are visited in fixed index order; each takes the label
     minimizing its unary term plus beta * (degree - 2 * agreeing
     neighbors), ties to the lowest label.  Sweeps stop when nothing
-    changes.  The energy is asserted non-increasing after every sweep.
+    changes.  A sweep that increases the energy raises RuntimeError.
     """
     labels = np.asarray(labels, dtype=np.int64).copy()
     X = _points(F)
@@ -244,8 +236,9 @@ def icm_map(labels, F, model: ZoneModel, adj: Adjacency,
                 labels[i] = new
                 changed = True
         cur_energy = energy(labels, F, model, adj)
-        assert cur_energy <= prev_energy + 1e-9, \
-            f"ICM sweep increased energy {prev_energy} -> {cur_energy}"
+        if cur_energy > prev_energy + 1e-9:
+            raise RuntimeError(
+                f"ICM sweep increased energy {prev_energy} -> {cur_energy}")
         prev_energy = cur_energy
         if not changed:
             break

@@ -301,6 +301,7 @@ def city_recovery(tmp_path_factory):
     return rows, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_07_city_recovery_with_fused_features_beats_poi_baseline(city_recovery):
     rows, elapsed = city_recovery
     fused = [r["fused_ari"] for r in rows]
@@ -319,6 +320,7 @@ def test_07_city_recovery_with_fused_features_beats_poi_baseline(city_recovery):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_08_observed_regions_never_lose_their_label(city_recovery):
     rows, _ = city_recovery
     fused_lost = [r["fused_lost"] for r in rows]

@@ -247,6 +247,15 @@ class TestBuildHapMatrix:
         loaded = HapMatrix.load(tmp_path / "hap.coo", tmp_path / "hap.json")
         assert loaded.r == 3 and loaded.s == 24 and loaded.tz == "UTC-05:00"
         assert np.array_equal(loaded.data.toarray(), hap.data.toarray())
+        assert loaded.data.dtype == np.float64
+
+    def test_empty_matrix_round_trip(self, tmp_path):
+        hap = build_hap_matrix([], r=3)
+        hap.save(tmp_path / "hap.coo", tmp_path / "hap.json")
+        assert (tmp_path / "hap.coo").read_bytes() == b""
+        loaded = HapMatrix.load(tmp_path / "hap.coo", tmp_path / "hap.json")
+        assert loaded.data.shape == (144, 3) and loaded.data.nnz == 0
+        assert loaded.data.dtype == np.float64
 
     def test_coo_file_is_sorted(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -14,8 +14,8 @@ from zonefuse.geo_grid import (
     encode,
     enumerate_cells,
     haversine_m,
-    neighbors8,
 )
+from zonefuse.zone_cluster import lattice_adjacency
 
 ORACLE_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
@@ -210,30 +210,48 @@ class TestEnumerateCells:
             assert grid.column_of(cell) == i
         assert grid.column_of_point(decode(grid.cells[3]).center()) == 3
 
+    def test_column_of_point_matches_encode(self):
+        # cell edges, centers and points just outside the grid on both axes
+        grid = enumerate_cells(Box(35.7, -78.7, 35.8, -78.6), 6)
+        first, last = decode(grid.cells[0]), decode(grid.cells[-1])
+        lat_span, lon_span = cell_spans(6)
+        lats = np.arange(first.min_lat - lat_span, last.max_lat + 1.5 * lat_span, lat_span / 2)
+        lons = np.arange(first.min_lon - lon_span, last.max_lon + 1.5 * lon_span, lon_span / 2)
+        for lat in lats:
+            for lon in lons:
+                p = GeoPoint(float(lat), float(lon))
+                assert grid.column_of_point(p) == grid.index.get(encode(p, 6))
+
 
 class TestNeighbors8:
+    """The grid's 8-neighbourhood, built from its shape."""
+
     @pytest.fixture
     def grid(self):
         return enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6)
+
+    def neighbors8(self, cell, grid):
+        nbrs = lattice_adjacency(*grid.shape).neighbors[grid.column_of(cell)]
+        return [grid.cells[j] for j in nbrs]
 
     def test_interior_cell_has_8(self, grid):
         boxes = [decode(c) for c in grid.cells]
         n_cols = sum(1 for b in boxes if b.min_lat == boxes[0].min_lat)
         n_rows = len(grid) // n_cols
         interior = grid.cells[(n_rows // 2) * n_cols + n_cols // 2]
-        nbrs = neighbors8(interior, grid)
+        nbrs = self.neighbors8(interior, grid)
         assert len(nbrs) == 8
         assert len(set(nbrs)) == 8
         assert interior not in nbrs
 
     def test_corner_cell_has_3(self, grid):
-        assert len(neighbors8(grid.cells[0], grid)) == 3
-        assert len(neighbors8(grid.cells[-1], grid)) == 3
+        assert len(self.neighbors8(grid.cells[0], grid)) == 3
+        assert len(self.neighbors8(grid.cells[-1], grid)) == 3
 
     def test_symmetry(self, grid):
         for cell in grid.cells[:40]:
-            for nbr in neighbors8(cell, grid):
-                assert cell in neighbors8(nbr, grid)
+            for nbr in self.neighbors8(cell, grid):
+                assert cell in self.neighbors8(nbr, grid)
 
     def test_neighbors_touch(self, grid):
         boxes = [decode(c) for c in grid.cells]
@@ -241,7 +259,7 @@ class TestNeighbors8:
         cell = grid.cells[n_cols + 1]
         box = decode(cell)
         lat_span, lon_span = cell_spans(6)
-        for nbr in neighbors8(cell, grid):
+        for nbr in self.neighbors8(cell, grid):
             nb = decode(nbr)
             assert abs(nb.min_lat - box.min_lat) <= lat_span * (1 + 1e-9)
             assert abs(nb.min_lon - box.min_lon) <= lon_span * (1 + 1e-9)
@@ -275,9 +293,30 @@ class TestGridCsv:
         assert loaded.level == grid.level
         assert loaded.cells == grid.cells
         assert loaded.index == grid.index
+        assert (loaded.origin, loaded.shape) == (grid.origin, grid.shape)
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("column_index,geohash,min_lat,min_lon,max_lat,max_lon\n")
         with pytest.raises(ValueError):
+            GridIndex.from_csv(path)
+
+    def rewritten(self, tmp_path, edit):
+        """A to_csv manifest with its data rows edited, column indices kept."""
+        grid = enumerate_cells(Box(35.70, -78.70, 35.76, -78.62), 6)
+        path = tmp_path / "cells.csv"
+        grid.to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        rows = edit([row.split(",", 1)[1] for row in rows])
+        path.write_text("\n".join([header, *(f"{i},{row}" for i, row in enumerate(rows))]) + "\n")
+        return path
+
+    def test_missing_row_rejected(self, tmp_path):
+        path = self.rewritten(tmp_path, lambda rows: rows[:5] + rows[6:])
+        with pytest.raises(ValueError, match="rectangle"):
+            GridIndex.from_csv(path)
+
+    def test_swapped_rows_rejected(self, tmp_path):
+        path = self.rewritten(tmp_path, lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:])
+        with pytest.raises(ValueError, match="rectangle"):
             GridIndex.from_csv(path)

@@ -286,19 +286,6 @@ class TestFit:
             assert np.array_equal(getattr(f1, name), getattr(f2, name))
         assert t1.totals == t2.totals
 
-    def test_jacobi_mode_descends(self):
-        P, I, T = standard_instance(28)
-        h = Hyperparams(k=3, max_iter=300, epsilon=0.0, update_mode="jacobi", seed=2)
-        _, trace = fit(P, I, T, h)
-        assert np.all(np.diff(trace.totals) <= 1e-9)
-
-    def test_modes_differ(self):
-        P, I, T = standard_instance(29)
-        f_gs, _ = fit(P, I, T, Hyperparams(k=3, max_iter=50, epsilon=0.0, seed=1))
-        f_j, _ = fit(P, I, T, Hyperparams(k=3, max_iter=50, epsilon=0.0, seed=1,
-                                          update_mode="jacobi"))
-        assert not np.allclose(f_gs.V, f_j.V)
-
     def test_sparse_T_fit_matches_dense(self):
         P, I, T = standard_instance(30)
         h = Hyperparams(k=3, max_iter=60, epsilon=0.0, seed=4)
@@ -372,5 +359,3 @@ class TestHyperparams:
             Hyperparams(rho=0.0)
         with pytest.raises(ValueError):
             Hyperparams(lambda2=-1.0)
-        with pytest.raises(ValueError):
-            Hyperparams(update_mode="chaotic")

@@ -122,6 +122,11 @@ class TestResumption:
         with pytest.raises(DataError, match="earlier stages"):
             Pipeline(cfg).run_stage("fit")
 
+    def test_missing_grid_names_the_stage(self, city):
+        cfg = variant(city, "nogrid")
+        with pytest.raises(DataError, match="stage 'ingest-gps' needs .*cells.csv"):
+            Pipeline(cfg).run_stage("ingest-gps")
+
     def test_unknown_stage_rejected(self, city):
         cfg = variant(city, "badstage")
         with pytest.raises(ValueError, match="unknown stage"):

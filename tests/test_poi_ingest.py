@@ -141,6 +141,16 @@ class TestBuildPoiMatrix:
         assert np.array_equal(loaded.P.toarray(), poi.P.toarray())
         assert np.array_equal(loaded.mask, poi.mask)
         assert loaded.categories == poi.categories
+        assert loaded.P.dtype == np.float64
+
+    def test_empty_matrix_round_trip(self, grid, tmp_path):
+        poi = build_poi_matrix([], grid, CategoryTable.default())
+        poi.save(tmp_path / "poi.coo", tmp_path / "poi.json")
+        assert (tmp_path / "poi.coo").read_bytes() == b""
+        loaded = PoiMatrix.load(tmp_path / "poi.coo", tmp_path / "poi.json")
+        assert loaded.P.shape == (28, len(grid)) and loaded.P.nnz == 0
+        assert loaded.P.dtype == np.float64
+        assert not loaded.mask.any()
 
 
 class TestObservationMatrix:

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from zonefuse.geo_grid import Box, decode, enumerate_cells
+from zonefuse import zone_cluster
+from zonefuse.geo_grid import Box, GridIndex, cell_spans, decode, enumerate_cells
 from zonefuse.poi_ingest import FeatureMatrix
 from zonefuse.zone_cluster import (
     Adjacency,
     ZoneModel,
-    adjacency_from_grid,
     adjusted_rand_index,
     crf_fit,
     energy,
@@ -95,11 +95,32 @@ class TestAdjacency:
         lon_mins = sorted({b.min_lon for b in boxes})
         n_rows, n_cols = len(lat_mins), len(lon_mins)
         assert n_rows * n_cols == len(grid.cells)
-        got = adjacency_from_grid(grid)
+        assert grid.shape == (n_rows, n_cols)
+        got = lattice_adjacency(*grid.shape)
         want = lattice_adjacency(n_rows, n_cols)
         assert len(got) == len(want)
         for a, b in zip(got.neighbors, want.neighbors):
             assert np.array_equal(a, b)
+
+    def test_grid_shape_neighbors_are_touching_cells(self, tmp_path):
+        # geometric oracle: two regions are neighbors exactly when their
+        # cell boxes share an edge or a corner, for a fresh grid and for
+        # its reload from cells.csv
+        grid = enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6)
+        grid.to_csv(tmp_path / "cells.csv")
+        reloaded = GridIndex.from_csv(tmp_path / "cells.csv")
+        lat_span, lon_span = cell_spans(6)
+        for g in (grid, reloaded):
+            boxes = np.array([[b.min_lat, b.min_lon, b.max_lat, b.max_lon]
+                              for b in map(decode, g.cells)])
+            lo, hi = boxes[:, None, :2], boxes[:, None, 2:]
+            gap = np.maximum(lo, lo.transpose(1, 0, 2)) - np.minimum(hi, hi.transpose(1, 0, 2))
+            touch = (gap[..., 0] <= 1e-9 * lat_span) & (gap[..., 1] <= 1e-9 * lon_span)
+            np.fill_diagonal(touch, False)
+            got = lattice_adjacency(*g.shape).neighbors
+            assert len(got) == len(g) > 100
+            for i, nbrs in enumerate(got):
+                assert np.array_equal(nbrs, np.flatnonzero(touch[i]))
 
 
 class TestKmeans:
@@ -242,6 +263,16 @@ class TestIcm:
         init = rng.integers(0, 3, size=16)
         out = icm_map(init, F, model, adj)
         assert energy(out, F, model, adj) <= energy(init, F, model, adj) + 1e-9
+
+    def test_energy_increase_raises(self, monkeypatch):
+        # a real exception, so the check survives python -O
+        energies = iter([0.0, 1.0])
+        monkeypatch.setattr(zone_cluster, "energy", lambda *args: next(energies))
+        rng = np.random.default_rng(6)
+        model = random_model(rng, 2, 2, beta=1.0)
+        F = features(rng.normal(size=(9, 2)))
+        with pytest.raises(RuntimeError, match="ICM sweep increased energy 0.0 -> 1.0"):
+            icm_map(np.zeros(9, dtype=np.int64), F, model, lattice_adjacency(3, 3))
 
     def test_shape_mismatch_rejected(self):
         F = features(np.zeros((4, 2)))
