@@ -67,25 +67,19 @@ def _pin_threads(n: int) -> None:
 
 
 def _load_config(args):
-    from .config import PipelineConfig, parse_pairs
-    from pathlib import Path
+    from .config import PipelineConfig
 
-    path = Path(args.config)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    pairs = parse_pairs(text)
+    overrides = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        pairs[key.strip()] = value.strip()
+        overrides[key.strip()] = value.strip()
     if args.out_dir is not None:
-        pairs["out_dir"] = args.out_dir
+        overrides["out_dir"] = args.out_dir
     if args.seed is not None:
-        pairs["seed"] = str(args.seed)
-    return PipelineConfig.from_pairs(pairs, base_dir=path.parent)
+        overrides["seed"] = str(args.seed)
+    return PipelineConfig.load(args.config, overrides)
 
 
 def _run_synth(args) -> int:

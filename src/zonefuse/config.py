@@ -13,18 +13,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .latent_fusion import Hyperparams
+from .poi_ingest import FEATURE_KINDS
 
 METHODS = ("kmeans", "crf")
 MASK_MODES = ("column", "elementwise")
-
-# accept both snake_case and compact spellings of the feature kinds
-_FEATURE_ALIASES = {
-    "rawpoi": "raw_poi", "raw_poi": "raw_poi",
-    "tfidf": "tfidf",
-    "svdpoi": "svd_poi", "svd_poi": "svd_poi",
-    "latentv": "latent_v", "latent_v": "latent_v",
-    "latentz": "latent_z", "latent_z": "latent_z",
-}
 
 _PATH_KEYS = ("gps_path", "poi_path", "category_path", "out_dir")
 
@@ -56,8 +48,6 @@ class PipelineConfig:
     lambda3: float = 0.1
     lambda4: float = 1.0
     lambda5: float = 0.01
-    alpha0: float = 1e-3
-    rho: float = 0.999
     epsilon: float = 1e-8
     max_iter: int = 2000
     mask_mode: str = "column"
@@ -79,11 +69,8 @@ class PipelineConfig:
             raise ConfigError("stay thresholds must be positive")
         if self.method not in METHODS:
             raise ConfigError(f"method {self.method!r} not in {METHODS}")
-        feature = _FEATURE_ALIASES.get(self.feature.lower())
-        if feature is None:
-            raise ConfigError(f"feature {self.feature!r} not one of "
-                              f"{sorted(set(_FEATURE_ALIASES.values()))}")
-        self.feature = feature
+        if self.feature not in FEATURE_KINDS:
+            raise ConfigError(f"feature {self.feature!r} not in {FEATURE_KINDS}")
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"mask_mode {self.mask_mode!r} not in {MASK_MODES}")
         if self.zones < 1:
@@ -100,11 +87,7 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
 
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams(k=self.k, lambda1=self.lambda1, lambda2=self.lambda2,
-                           lambda3=self.lambda3, lambda4=self.lambda4,
-                           lambda5=self.lambda5, alpha0=self.alpha0,
-                           rho=self.rho, epsilon=self.epsilon,
-                           max_iter=self.max_iter, seed=self.seed)
+        return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
 
     def to_text(self) -> str:
         lines = []
@@ -145,13 +128,15 @@ class PipelineConfig:
         return cfg
 
     @classmethod
-    def load(cls, path) -> "PipelineConfig":
+    def load(cls, path, overrides: dict[str, str] | None = None) -> "PipelineConfig":
+        """Read a config file; `overrides` pairs replace the file's."""
         path = Path(path)
         try:
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_pairs(parse_pairs(text), base_dir=path.parent)
+        pairs = {**parse_pairs(text), **(overrides or {})}
+        return cls.from_pairs(pairs, base_dir=path.parent)
 
 
 def parse_pairs(text: str) -> dict[str, str]:

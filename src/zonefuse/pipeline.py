@@ -84,9 +84,9 @@ def export_geojson(labels, grid: GridIndex, palette=DEFAULT_PALETTE,
         })
     collection = {"type": "FeatureCollection", "features": features}
     if path is not None:
-        with open(path, "w") as fh:
-            json.dump(collection, fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
+        # one json.dumps call runs the C encoder; json.dump never does
+        text = json.dumps(collection, separators=(",", ":"), sort_keys=True)
+        Path(path).write_text(text + "\n")
     return collection
 
 
@@ -193,11 +193,11 @@ class Pipeline:
         P = poi.P.toarray().astype(np.float64)
         I = poi.observation_matrix(self.cfg.mask_mode)
         factors, trace = fit(P, I, hap.data, self.cfg.hyperparams())
-        (self.out / "factors").mkdir(exist_ok=True)
         factors.save(self.out / "factors")
         trace.to_csv(self.out / "trace.csv")
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
-                "objective": trace.final_objective}
+                "objective": trace.totals[-1], "terms": trace.terms[-1],
+                "relative_decrease": trace.relative_decrease}
 
     def _features(self, poi: PoiMatrix) -> FeatureMatrix:
         kind = self.cfg.feature

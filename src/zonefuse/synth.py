@@ -282,14 +282,12 @@ def write_city_config(spec: SynthCitySpec, city_dir,
                       **overrides) -> Path:
     """Write a ready-to-run config next to the generated city files.
 
-    Besides the grid geometry, the config pins solver weights and a step
-    size sized for the activity counts these cities produce; the library
-    defaults assume much smaller matrices and diverge here.  Any keyword
-    override wins over the baked pairs.
+    Besides the grid geometry, the config pins solver weights rebalanced
+    for the activity counts these cities produce; the library defaults
+    suit much smaller matrices.  Any keyword override wins.
     """
     city_dir = Path(city_dir)
-    grid = city_grid(spec)
-    bbox = grid.bbox
+    bbox = city_grid(spec).bbox
     pairs = {
         "min_lat": repr(bbox.min_lat), "min_lon": repr(bbox.min_lon),
         "max_lat": repr(bbox.max_lat), "max_lon": repr(bbox.max_lon),
@@ -300,7 +298,6 @@ def write_city_config(spec: SynthCitySpec, city_dir,
         "seed": str(spec.seed),
         "lambda1": "5e-3", "lambda2": "1e-3", "lambda3": "1e-3",
         "lambda4": "1.0", "lambda5": "3.0",
-        "alpha0": "0.01", "rho": "1.0",
     }
     for key, value in overrides.items():
         pairs[key] = str(value)

@@ -278,21 +278,13 @@ def _refit(X, labels, c, beta, variance_floor):
     counts = np.bincount(labels, minlength=c)
     empties = [j for j in range(c) if counts[j] == 0]
     if empties:
-        means = np.zeros((c, X.shape[1]))
-        for j in range(c):
-            if counts[j] > 0:
-                means[j] = X[labels == j].mean(axis=0)
+        means = _update_centroids(X, labels, np.zeros((c, X.shape[1])), c)
         dist = ((X - means[labels]) ** 2).sum(axis=1)
         for j in empties:
             far = int(np.argmax(dist))
             labels[far] = j
             dist[far] = -1.0
-    means = np.zeros((c, X.shape[1]))
-    variances = np.zeros((c, X.shape[1]))
-    for j in range(c):
-        members = X[labels == j]
-        means[j] = members.mean(axis=0)
-        variances[j] = np.maximum(members.var(axis=0), variance_floor)
+    means, variances = fit_gaussians(X.T, labels, c, variance_floor)
     return labels, ZoneModel(means=means, variances=variances, beta=beta,
                              labels=labels)
 

@@ -2,9 +2,10 @@
 
 Each test prints a single bracketed verdict line with the numbers it
 measured, then asserts.  The suite covers solver correctness (gradients,
-descent, recovery, prox), CRF optimality against an exhaustive oracle,
-whole-pipeline recovery on generated cities, annotation algebra, grid
-geometry, and byte-level determinism.
+descent, also at city-scale activity counts, recovery, prox), CRF
+optimality against an exhaustive oracle, whole-pipeline recovery on
+generated cities, annotation algebra, grid geometry, and byte-level
+determinism.
 """
 import time
 from pathlib import Path
@@ -23,6 +24,8 @@ from zonefuse.latent_fusion import (
     gradients,
     masked_rmse,
     objective,
+    prox_step_A,
+    soft_threshold,
 )
 from zonefuse.pipeline import Pipeline
 from zonefuse.poi_ingest import FeatureMatrix, PoiMatrix
@@ -146,8 +149,7 @@ def test_03_masked_factorization_recovers_planted_matrix():
         I = np.ones((p, r))
         T = sp.csr_matrix((4, r))
         h = Hyperparams(k=k, lambda1=0.0, lambda2=0.0, lambda3=0.0,
-                        lambda4=0.0, lambda5=0.0, alpha0=0.05, rho=1.0,
-                        max_iter=2000, seed=seed)
+                        lambda4=0.0, lambda5=0.0, max_iter=2000, seed=seed)
         f, trace = fit(P, I, T, h)
         worst = max(worst, masked_rmse(P, I, f.U, f.V))
     ok = worst <= 1e-2
@@ -158,28 +160,43 @@ def test_03_masked_factorization_recovers_planted_matrix():
 
 
 def test_04_prox_step_is_exact_soft_threshold_and_l1_controls_sparsity():
-    # one step with the latent tie removed: A moves only by the shrinkage
+    # with orthonormal-row U (U U^T = I) one A step lands on U Z exactly
     P, I, T = random_instance(0, p=5, r=7)
-    h = Hyperparams(k=3, lambda2=0.0, lambda3=0.5, alpha0=0.02, rho=0.7,
-                    max_iter=1, seed=0)
-    f0 = random_factors(0, 5, 7, T.shape[0], 3)
-    f1, _ = fit(P, I, T, h, init=f0)
-    thr = h.alpha0 * h.lambda3
-    expected = np.where(f0.A > thr, f0.A - thr,
-                        np.where(f0.A < -thr, f0.A + thr, 0.0))
-    exact = bool(np.array_equal(f1.A, expected))
+    h = Hyperparams(k=5, lambda2=0.8, lambda3=0.5, seed=0)
+    f0 = random_factors(0, 5, 7, T.shape[0], 5)
+    f0.U = np.linalg.qr(f0.U)[0]
+    A1 = prox_step_A(f0, h)
+    expected = soft_threshold(f0.U @ f0.Z, h.lambda3 / h.lambda2)
+    exact = bool(np.allclose(A1, expected, rtol=0.0, atol=1e-12)
+                 and np.array_equal(A1 == 0.0, expected == 0.0))
 
     nnzs = []
     for lam3 in (0.01, 0.1, 1.0):
-        h = Hyperparams(k=3, lambda3=lam3, alpha0=0.01, rho=1.0,
-                        max_iter=800, seed=0)
+        h = Hyperparams(k=3, lambda3=lam3, max_iter=800, seed=0)
         f, _ = fit(P, I, T, h)
         nnzs.append(int((np.abs(f.A) > 0.0).sum()))
     monotone = nnzs[0] >= nnzs[1] >= nnzs[2]
     ok = exact and monotone
     line = verdict("soft-threshold prox and L1 sparsity", ok,
-                   f"one-step prox exact={exact}, nnz(A) over "
+                   f"prox step on U Z exact={exact}, nnz(A) over "
                    f"lambda3 0.01/0.1/1 = {nnzs} (non-increasing)")
+    assert ok, line
+
+
+def test_12_descent_survives_large_activity_counts():
+    # week-long traces scale T up; the synth weights must still descend
+    P, I, T = random_instance(0)
+    T.data *= 400.0
+    h = Hyperparams(k=3, lambda1=5e-3, lambda2=1e-3, lambda3=1e-3,
+                    lambda4=1.0, lambda5=3.0, epsilon=0.0, max_iter=500)
+    _, trace = fit(P, I, T, h)
+    totals = np.asarray(trace.totals)
+    worst_rise = float(np.diff(totals).max())
+    ok = len(totals) == 501 and worst_rise <= 1e-9
+    line = verdict("descent at 400x activity counts", ok,
+                   f"{len(totals) - 1} iterations, objective {totals[0]:.1f} "
+                   f"-> {totals[-1]:.1f}, worst increase {worst_rise:.2e} "
+                   f"(tol 1e-9)")
     assert ok, line
 
 

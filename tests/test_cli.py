@@ -1,8 +1,10 @@
 """CLI verbs, overrides, and exit codes."""
 import pytest
 
+import zonefuse.pipeline
 from zonefuse.cli import main
 from zonefuse.config import PipelineConfig
+from zonefuse.errors import DivergenceError
 from zonefuse.zone_cluster import load_labels
 
 
@@ -75,9 +77,13 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_divergent_solver_exits_four(self, city, tmp_path, capsys):
+    def test_divergent_solver_exits_four(self, city, tmp_path, capsys,
+                                         monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("objective became non-finite at iteration 3")
+
+        monkeypatch.setattr(zonefuse.pipeline, "fit", diverge)
         code = main(["run", "--config", str(city / "config.txt"),
-                     "--set", "alpha0=100.0", "--set", "max_iter=200",
                      "--out-dir", str(tmp_path / "diverge")])
         assert code == 4
         assert "numeric error" in capsys.readouterr().err

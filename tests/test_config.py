@@ -75,8 +75,6 @@ class TestValidation:
             make(feature="wavelet")
 
     def test_feature_aliases(self):
-        assert make(feature="RawPoi").feature == "raw_poi"
-        assert make(feature="LatentV").feature == "latent_v"
         assert make(feature="tfidf").feature == "tfidf"
         assert make(feature="svd_poi").feature == "svd_poi"
 
@@ -95,8 +93,6 @@ class TestValidation:
 
     def test_solver_params_validated(self):
         # hyperparameter errors surface as config errors
-        with pytest.raises(ConfigError):
-            make(rho="1.5")
         with pytest.raises(ConfigError):
             make(k="0")
 
@@ -161,10 +157,10 @@ class TestPathResolution:
 
 class TestHyperparams:
     def test_values_forwarded(self):
-        cfg = make(k="7", lambda3="0.5", alpha0="0.002", max_iter="100")
+        cfg = make(k="7", lambda3="0.5", epsilon="0.002", max_iter="100")
         h = cfg.hyperparams()
         assert h.k == 7
         assert h.lambda3 == 0.5
-        assert h.alpha0 == 0.002
+        assert h.epsilon == 0.002
         assert h.max_iter == 100
         assert h.seed == cfg.seed

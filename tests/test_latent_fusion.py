@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from zonefuse import latent_fusion
 from zonefuse.errors import DivergenceError
 from zonefuse.latent_fusion import (
     FACTOR_NAMES,
@@ -14,6 +17,7 @@ from zonefuse.latent_fusion import (
     init_factors,
     masked_rmse,
     objective,
+    prox_step_A,
     soft_threshold,
 )
 
@@ -209,8 +213,7 @@ class TestFit:
         I = np.ones((p, r))
         T = np.zeros((10, r))
         h = Hyperparams(k=k, lambda1=0, lambda2=0, lambda3=0, lambda4=0,
-                        lambda5=1e-6, alpha0=0.02, rho=0.999, epsilon=0.0,
-                        max_iter=2000, seed=1)
+                        lambda5=1e-6, epsilon=0.0, max_iter=2000, seed=1)
         f, trace = fit(P, I, T, h)
         assert masked_rmse(P, I, f.U, f.V) < 1e-2
 
@@ -223,8 +226,8 @@ class TestFit:
             assert np.all(diffs <= 1e-9)
 
     def test_zero_data_shrinks_factors(self):
-        # With the cross-view couplings off, every block follows a pure
-        # decay recursion on zero data, so all norms shrink monotonically.
+        # With the cross-view couplings off, every block's minimiser on
+        # zero data is zero, so all norms shrink monotonically.
         # Re-running with growing max_iter snapshots the same trajectory.
         p, r, q = 4, 6, 20
         P = np.zeros((p, r))
@@ -246,16 +249,16 @@ class TestFit:
         assert trace.totals[-1] < 1e-2 * trace.totals[0]
 
     def test_proximal_step_is_exact_soft_threshold_when_decoupled(self):
-        p, r, k, q = 4, 6, 2, 8
-        P, I, _ = standard_instance(21, p=p, r=r, k=k, q=q)
-        rng = np.random.default_rng(22)
-        T = rng.normal(size=(q, r))
-        init = random_factors(23, p, r, k, q)
-        h = Hyperparams(k=k, lambda2=0.0, lambda3=0.5, alpha0=1e-2,
-                        max_iter=1, epsilon=0.0, seed=0)
-        f, _ = fit(P, I, T, h, init=init)
-        expected = soft_threshold(init.A, h.alpha0 * h.lambda3)
-        assert np.array_equal(f.A, expected)
+        # with orthonormal rows (U U^T = I) the step 1/L lands on U Z exactly
+        p, r, k, q = 3, 6, 4, 8
+        f = random_factors(23, p, r, k, q)
+        f.U = np.linalg.qr(np.random.default_rng(22).normal(size=(k, p)))[0].T
+        h = Hyperparams(k=k, lambda2=0.8, lambda3=0.5)
+        A = prox_step_A(f, h)
+        expected = soft_threshold(f.U @ f.Z, h.lambda3 / h.lambda2)
+        assert np.allclose(A, expected, rtol=0.0, atol=1e-12)
+        assert np.array_equal(A == 0.0, expected == 0.0)
+        assert 0 < (A == 0.0).sum() < A.size
 
     def test_sparsity_of_A_non_increasing_in_l1_weight(self):
         P, I, T = standard_instance(24)
@@ -272,10 +275,77 @@ class TestFit:
         f, _ = fit(P, I, T, h)
         assert np.all(f.A == 0.0)
 
-    def test_divergence_raises_with_diagnostic(self):
+    def test_non_finite_data_raises(self):
         P, I, T = standard_instance(26)
-        with pytest.raises(DivergenceError, match="alpha0"):
-            fit(P, I, T, Hyperparams(k=3, alpha0=1e6, max_iter=50))
+        P[0, 0] = np.inf
+        with pytest.raises(DivergenceError, match="initial factors"):
+            fit(P, I, T, Hyperparams(k=3, max_iter=50))
+
+    @pytest.mark.parametrize("column_mask", [False, True])
+    def test_each_block_update_is_its_exact_minimiser(self, column_mask):
+        # after a block's update, the gradient oracle vanishes on that block
+        p, r, k, q = 5, 7, 3, 30
+        P, I, _ = standard_instance(36, p=p, r=r, k=k, column_mask=column_mask)
+        T = np.random.default_rng(37).poisson(0.2, size=(q, r)).astype(float)
+        f = random_factors(38, p, r, k, q)
+        h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
+                        lambda4=0.7, lambda5=0.02)
+        f.U = latent_fusion._update_U(P, I, f, h)
+        f.V = latent_fusion._update_V(P, I, f, h)
+        Y, QT = latent_fusion._q_solver(T, h)(f.Z)
+        f.Q = h.lambda1 * Y @ T.T
+        assert np.allclose(QT, f.Q @ T, atol=1e-10)
+        g_q = gradients(P, I, T, f, h)["Q"]
+        f.Z = latent_fusion._update_Z(QT, f, h)
+        g_z = gradients(P, I, T, f, h)["Z"]
+        f.W = latent_fusion._update_W(f, h)
+        g = gradients(P, I, T, f, h)
+        for name, grad in (("Q", g_q), ("Z", g_z), ("W", g["W"])):
+            assert np.abs(grad).max() < 1e-10, name
+        f.U = latent_fusion._update_U(P, I, f, h)
+        assert np.abs(gradients(P, I, T, f, h)["U"]).max() < 1e-10
+        f.V = latent_fusion._update_V(P, I, f, h)
+        assert np.abs(gradients(P, I, T, f, h)["V"]).max() < 1e-10
+
+    def test_blocks_without_terms_keep_their_value(self):
+        p, r, k, q = 4, 6, 2, 8
+        P, I, T = standard_instance(39, p=p, r=r, k=k, q=q)
+        init = random_factors(40, p, r, k, q)
+        h = Hyperparams(k=k, lambda1=0.0, lambda2=0.0, lambda3=0.0,
+                        lambda4=0.0, lambda5=0.0, max_iter=5)
+        f, trace = fit(P, I, T, h, init=init)
+        for name in ("Q", "Z", "A", "W"):
+            assert np.array_equal(getattr(f, name), getattr(init, name)), name
+        assert np.all(np.diff(trace.totals) <= 1e-12)
+        # the L1 term alone is minimised by A = 0
+        f, _ = fit(P, I, T, Hyperparams(k=k, lambda2=0.0, lambda3=0.1,
+                                        max_iter=1), init=init)
+        assert np.all(f.A == 0.0)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_ridge_takes_least_norm_q(self, sparse):
+        # lambda5 = 0 with an activity-free region: T^T T is singular
+        P, I, T = standard_instance(41)
+        T[:, 2] = 0.0
+        T = sp.csr_array(T) if sparse else T
+        h = Hyperparams(k=3, lambda5=0.0, max_iter=100, epsilon=0.0, seed=2)
+        f, trace = fit(P, I, T, h)
+        assert np.all(np.isfinite(f.Q))
+        assert np.all(np.diff(trace.totals) <= 1e-9)
+        # Q = l1 Y T^T zeroes the Q gradient; least norm puts no weight on
+        # the activity-free region, the null space of T^T T
+        Y, QT = latent_fusion._q_solver(T, h)(f.Z)
+        assert np.allclose(QT, h.lambda1 * Y @ T.T @ T)
+        assert np.allclose((QT - f.Z) @ T.T, 0.0, atol=1e-9)
+        assert np.allclose(Y[:, 2], 0.0, atol=1e-12)
+
+    def test_max_iter_stop_logs_warning(self, caplog):
+        P, I, T = standard_instance(42)
+        with caplog.at_level(logging.WARNING, logger="zonefuse.latent_fusion"):
+            _, trace = fit(P, I, T, Hyperparams(k=3, max_iter=3))
+        assert trace.stop_reason == "max_iter"
+        assert "max_iter" in caplog.text
+        assert trace.relative_decrease > 0
 
     def test_deterministic_given_seed(self):
         P, I, T = standard_instance(27)
@@ -308,13 +378,10 @@ class TestTraceAndPersistence:
         h = Hyperparams(k=3, max_iter=20, epsilon=0.0, seed=8)
         _, trace = fit(P, I, T, h)
         assert trace.iters == list(range(21))
-        assert len(trace.totals) == len(trace.terms) == len(trace.alphas) == 21
+        assert len(trace.totals) == len(trace.terms) == 21
         for total, terms in zip(trace.totals, trace.terms):
             assert total == pytest.approx(sum(terms.values()), rel=1e-12)
             assert set(terms) == set(TERM_NAMES)
-        # alpha decays by rho starting from alpha0
-        for i in range(1, 21):
-            assert trace.alphas[i] == pytest.approx(h.alpha0 * h.rho ** (i - 1), rel=1e-12)
 
     def test_trace_csv(self, tmp_path):
         P, I, T = standard_instance(33)
@@ -323,7 +390,7 @@ class TestTraceAndPersistence:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,total,recon,transform,z_recon,l1,regression,ridge,alpha"
+        assert lines[0] == "iter,total,recon,transform,z_recon,l1,regression,ridge"
         assert len(lines) == 7
         parts = lines[1].split(",")
         assert float(parts[1]) == pytest.approx(trace.totals[0])
@@ -348,14 +415,10 @@ class TestHyperparams:
         h = Hyperparams()
         assert (h.k, h.lambda1, h.lambda2, h.lambda3, h.lambda4, h.lambda5) == \
             (10, 1.0, 1.0, 0.1, 1.0, 0.01)
-        assert (h.alpha0, h.rho, h.epsilon, h.max_iter) == (1e-3, 0.999, 1e-8, 2000)
+        assert (h.epsilon, h.max_iter) == (1e-8, 2000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Hyperparams(k=0)
-        with pytest.raises(ValueError):
-            Hyperparams(alpha0=0.0)
-        with pytest.raises(ValueError):
-            Hyperparams(rho=0.0)
         with pytest.raises(ValueError):
             Hyperparams(lambda2=-1.0)

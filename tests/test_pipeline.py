@@ -7,6 +7,7 @@ import pytest
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import DataError
 from zonefuse.geo_grid import decode
+from zonefuse.latent_fusion import TERM_NAMES
 from zonefuse.pipeline import (STAGE_OUTPUTS, STAGES, Pipeline, export_geojson,
                                file_sha256, run)
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
@@ -57,6 +58,14 @@ class TestFullRun:
         gps_notes = manifest["stages"]["ingest-gps"]["notes"]
         assert gps_notes["users"] == 60
         assert gps_notes["trip_records"] > 0
+
+    def test_fit_notes_explain_convergence(self, city):
+        manifest = run(variant(city, "full"))
+        notes = manifest["stages"]["fit"]["notes"]
+        assert set(notes["terms"]) == set(TERM_NAMES)
+        assert sum(notes["terms"].values()) == pytest.approx(notes["objective"])
+        assert notes["relative_decrease"] >= 0.0
+        assert notes["stop_reason"] in ("converged", "max_iter")
 
     def test_labels_cover_grid(self, city):
         cfg = variant(city, "full")
