@@ -12,6 +12,8 @@ import csv
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 _BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 _BASE32_INDEX = {ch: i for i, ch in enumerate(_BASE32)}
 
@@ -102,6 +104,21 @@ def _axis_index(value: float, lo: float, hi: float, bits: int) -> int:
             lo = mid
         else:
             hi = mid
+    return idx
+
+
+def _axis_indices(values, lo: float, hi: float, bits: int) -> np.ndarray:
+    """_axis_index of each value in an array."""
+    values = np.asarray(values, dtype=np.float64)
+    idx = np.zeros(values.shape, dtype=np.int64)
+    lo = np.full(values.shape, lo)
+    hi = np.full(values.shape, hi)
+    for _ in range(bits):
+        mid = (lo + hi) / 2.0
+        upper = values >= mid
+        idx = (idx << 1) | upper
+        lo = np.where(upper, mid, lo)
+        hi = np.where(upper, hi, mid)
     return idx
 
 
@@ -221,13 +238,29 @@ class GridIndex:
         return self.index.get(cell)
 
     def column_of_point(self, p: GeoPoint) -> int | None:
-        row, col = _cell_coords(p, self.level)
-        row -= self.origin[0]
-        col -= self.origin[1]
+        col = int(self.columns_of_points([p.lat], [p.lon])[0])
+        return col if col >= 0 else None
+
+    def columns_of_points(self, lat, lon) -> np.ndarray:
+        """Column of the cell holding each point, or -1 outside the grid.
+
+        Cells are located by the bisection of `_cell_coords`, so cell
+        edges and the world edge fall as they do for `encode`.  Raises
+        ValueError when a pair is not a valid GeoPoint.
+        """
+        lat = np.asarray(lat, dtype=np.float64)
+        lon = np.asarray(lon, dtype=np.float64)
+        # NaN fails every comparison, infinities the ranges
+        bad = np.flatnonzero(~((lat >= -90.0) & (lat <= 90.0)
+                               & (lon >= -180.0) & (lon <= 180.0)))
+        if bad.size:
+            GeoPoint(float(lat[bad[0]]), float(lon[bad[0]]))  # raises, naming it
+        lat_bits, lon_bits = _bit_split(self.level)
+        row = _axis_indices(lat, -90.0, 90.0, lat_bits) - self.origin[0]
+        col = _axis_indices(lon, -180.0, 180.0, lon_bits) - self.origin[1]
         n_rows, n_cols = self.shape
-        if 0 <= row < n_rows and 0 <= col < n_cols:
-            return row * n_cols + col
-        return None
+        inside = (row >= 0) & (row < n_rows) & (col >= 0) & (col < n_cols)
+        return np.where(inside, row * n_cols + col, -1)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

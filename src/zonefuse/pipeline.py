@@ -97,6 +97,8 @@ class Pipeline:
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
         self.manifest_path = self.out / "manifest.json"
+        # the grid of cells.csv, once segment built it or a stage loaded it
+        self._kept_grid: GridIndex | None = None
 
     # --- manifest -------------------------------------------------------
 
@@ -137,7 +139,9 @@ class Pipeline:
 
     def _grid(self, stage: str) -> GridIndex:
         (path,) = self._require(stage, "cells.csv")
-        return GridIndex.from_csv(path)
+        if self._kept_grid is None:
+            self._kept_grid = GridIndex.from_csv(path)
+        return self._kept_grid
 
     def _categories(self) -> CategoryTable:
         if self.cfg.category_path:
@@ -151,29 +155,31 @@ class Pipeline:
         grid = enumerate_cells(Box(cfg.min_lat, cfg.min_lon,
                                    cfg.max_lat, cfg.max_lon), cfg.level)
         grid.to_csv(self.out / "cells.csv")
+        self._kept_grid = grid
         return {"regions": len(grid)}
 
     def _stage_ingest_gps(self) -> dict:
         cfg = self.cfg
         grid = self._grid("ingest-gps")
+        started = time.perf_counter()
         trajectories, malformed = parse_gps(cfg.gps_path,
                                             weekdays_only=cfg.weekdays_only,
                                             tz=cfg.timezone)
-        infos = []
-        n_activities = dropped = 0
-        for user in sorted(trajectories):
-            activities = detect_activities(trajectories[user],
-                                           max_distance_m=cfg.stay_distance_m,
-                                           min_duration_s=cfg.stay_duration_s)
-            n_activities += len(activities)
-            user_infos, user_dropped = to_activity_infos(activities, grid)
-            dropped += user_dropped
-            infos.extend(user_infos)
-        hap = build_hap_matrix(infos, len(grid), tz=cfg.timezone)
+        parsed = time.perf_counter()
+        stays = detect_activities(trajectories.points,
+                                  max_distance_m=cfg.stay_distance_m,
+                                  min_duration_s=cfg.stay_duration_s)
+        detected = time.perf_counter()
+        trips, dropped = to_activity_infos(stays, grid)
+        located = time.perf_counter()
+        hap = build_hap_matrix(trips, len(grid), tz=cfg.timezone)
+        built = time.perf_counter()
         hap.save(self.out / "hap.coo", self.out / "hap.json")
         return {"users": len(trajectories), "malformed_rows": malformed,
-                "activities": n_activities, "outside_grid": dropped,
-                "trip_records": len(infos), "hap_sparsity": hap.sparsity()}
+                "activities": len(stays), "outside_grid": dropped,
+                "trip_records": len(trips), "hap_sparsity": hap.sparsity(),
+                "parse_s": parsed - started, "stays_s": detected - parsed,
+                "lookup_s": located - detected, "matrix_s": built - located}
 
     def _stage_ingest_poi(self) -> dict:
         grid = self._grid("ingest-poi")

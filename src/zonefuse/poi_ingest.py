@@ -225,18 +225,16 @@ def build_poi_matrix(records: list[PoiRecord], grid: GridIndex,
     """
     n_cat = len(categories)
     r = len(grid)
-    rows, cols = [], []
-    dropped = 0
-    for rec in records:
-        if not 0 <= rec.category < n_cat:
-            raise ValueError(f"category index {rec.category} outside table of {n_cat}")
-        col = grid.column_of_point(GeoPoint(rec.lat, rec.lon))
-        if col is None:
-            dropped += 1
-        else:
-            rows.append(rec.category)
-            cols.append(col)
-    data = sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n_cat, r))
+    category = np.array([rec.category for rec in records], dtype=np.int64)
+    bad = np.flatnonzero((category < 0) | (category >= n_cat))
+    if bad.size:
+        raise ValueError(f"category index {category[bad[0]]} outside table of {n_cat}")
+    cols = grid.columns_of_points([rec.lat for rec in records],
+                                  [rec.lon for rec in records])
+    inside = cols >= 0
+    rows = category[inside]
+    dropped = len(records) - len(rows)
+    data = sp.coo_array((np.ones(len(rows)), (rows, cols[inside])), shape=(n_cat, r))
     P = sp.csr_array(data)
     mask = np.asarray((P > 0).sum(axis=0)).ravel() > 0
     if dropped:

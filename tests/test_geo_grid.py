@@ -222,6 +222,40 @@ class TestEnumerateCells:
                 p = GeoPoint(float(lat), float(lon))
                 assert grid.column_of_point(p) == grid.index.get(encode(p, 6))
 
+    @pytest.mark.parametrize("bbox, level", [
+        (Box(35.7, -78.7, 35.8, -78.6), 6),
+        # flush with the north-east corner of the world
+        (Box(78.75, 168.75, 90.0, 180.0), 3),
+    ])
+    def test_columns_of_points_match_encode(self, bbox, level):
+        grid = enumerate_cells(bbox, level)
+        lat_span, lon_span = cell_spans(level)
+        first, last = decode(grid.cells[0]), decode(grid.cells[-1])
+        rng = np.random.default_rng(level)
+        # random points in and around the grid, every exact cell edge,
+        # the bbox's north and east edges, and the world's edges
+        lats = list(rng.uniform(first.min_lat - lat_span,
+                                min(90.0, last.max_lat + lat_span), 300))
+        lons = list(rng.uniform(first.min_lon - lon_span,
+                                min(180.0, last.max_lon + lon_span), 300))
+        edge_lats = [first.min_lat + i * lat_span for i in range(grid.shape[0] + 1)]
+        edge_lons = [first.min_lon + j * lon_span for j in range(grid.shape[1] + 1)]
+        for lat in edge_lats + [bbox.max_lat, 90.0, -90.0]:
+            for lon in edge_lons + [bbox.max_lon, 180.0, -180.0]:
+                lats.append(lat)
+                lons.append(lon)
+        cols = grid.columns_of_points(lats, lons)
+        expected = [grid.index.get(encode(GeoPoint(float(a), float(b)), level))
+                    for a, b in zip(lats, lons)]
+        assert cols.tolist() == [-1 if c is None else c for c in expected]
+        assert (cols >= 0).any() and (cols == -1).any()
+
+    def test_columns_of_points_reject_invalid_points(self):
+        grid = enumerate_cells(Box(35.7, -78.7, 35.8, -78.6), 6)
+        for lat, lon in ((float("nan"), -78.65), (35.75, float("inf")), (90.5, 0.0)):
+            with pytest.raises(ValueError):
+                grid.columns_of_points([35.75, lat], [-78.65, lon])
+
 
 class TestNeighbors8:
     """The grid's 8-neighbourhood, built from its shape."""

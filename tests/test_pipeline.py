@@ -6,7 +6,7 @@ import pytest
 
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import DataError
-from zonefuse.geo_grid import decode
+from zonefuse.geo_grid import GridIndex, decode
 from zonefuse.latent_fusion import TERM_NAMES
 from zonefuse.pipeline import (STAGE_OUTPUTS, STAGES, Pipeline, export_geojson,
                                file_sha256, run)
@@ -58,6 +58,8 @@ class TestFullRun:
         gps_notes = manifest["stages"]["ingest-gps"]["notes"]
         assert gps_notes["users"] == 60
         assert gps_notes["trip_records"] > 0
+        for layer in ("parse_s", "stays_s", "lookup_s", "matrix_s"):
+            assert gps_notes[layer] >= 0.0
 
     def test_fit_notes_explain_convergence(self, city):
         manifest = run(variant(city, "full"))
@@ -135,6 +137,28 @@ class TestResumption:
         cfg = variant(city, "nogrid")
         with pytest.raises(DataError, match="stage 'ingest-gps' needs .*cells.csv"):
             Pipeline(cfg).run_stage("ingest-gps")
+
+    def test_grid_is_loaded_once_per_pipeline(self, city, monkeypatch):
+        loads = []
+        load = GridIndex.from_csv
+
+        def counted(cls, path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(GridIndex, "from_csv", classmethod(counted))
+        cfg = variant(city, "gridonce")
+        Pipeline(cfg).run(force=True)
+        assert loads == []  # segment's grid serves the later stages
+        pipe = Pipeline(cfg)
+        for stage in STAGES[1:]:
+            pipe.run_stage(stage, force=True)
+        assert len(loads) == 1
+        # a segment rerun replaces the kept grid
+        loaded = pipe._grid("annotate")
+        pipe.run_stage("segment", force=True)
+        assert pipe._grid("annotate") is not loaded
+        assert len(loads) == 1
 
     def test_unknown_stage_rejected(self, city):
         cfg = variant(city, "badstage")
