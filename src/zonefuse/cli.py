@@ -1,8 +1,9 @@
 """Command line interface.
 
-One verb per pipeline stage plus `run` (all stages) and `synth` (generate
-a synthetic city and a matching config).  Exit codes: 0 success, 2 config
-error, 3 data error, 4 numeric divergence.
+One verb per pipeline stage plus `run` (all stages), `status` (which
+stages a run would redo, and why) and `synth` (generate a synthetic city
+and a matching config).  Exit codes: 0 success, 2 config error, 3 data
+error, 4 numeric divergence.
 
 Heavy numeric imports happen after argument parsing so `--threads` and
 `--deterministic` can pin the BLAS thread pools before numpy loads.
@@ -31,12 +32,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log stage progress")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_run_options(p):
+    def add_config_options(p):
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out-dir", help="override the output directory")
         p.add_argument("--seed", type=int, help="override the seed")
+
+    def add_run_options(p):
+        add_config_options(p)
         p.add_argument("--threads", type=int, default=0,
                        help="cap numeric thread pools (0 leaves them alone)")
         p.add_argument("--deterministic", action="store_true",
@@ -48,6 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=f"run the {verb} stage"
                            if verb != "run" else "run every stage in order")
         add_run_options(p)
+
+    p = sub.add_parser("status", help="print each stage as fresh, or stale "
+                       "with the first reason")
+    add_config_options(p)
 
     p = sub.add_parser("synth", help="generate a synthetic city and config")
     p.add_argument("--out", required=True, help="directory for the city files")
@@ -113,11 +121,19 @@ def _run_stages(args) -> int:
     return 0
 
 
+def _run_status(args) -> int:
+    from .pipeline import Pipeline
+
+    for stage, reason in Pipeline(_load_config(args)).status().items():
+        print(f"{stage}: fresh" if reason is None else f"{stage}: stale ({reason})")
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.verb != "synth":
+    if args.verb not in ("synth", "status"):
         if args.deterministic:
             _pin_threads(1)
         elif args.threads > 0:
@@ -125,6 +141,8 @@ def main(argv=None) -> int:
     try:
         if args.verb == "synth":
             return _run_synth(args)
+        if args.verb == "status":
+            return _run_status(args)
         return _run_stages(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,12 +89,13 @@ class LatentFactors:
             fh.write("\n")
 
     @classmethod
-    def load(cls, directory) -> "LatentFactors":
+    def load(cls, directory, names=FACTOR_NAMES) -> "LatentFactors":
+        """Read the blocks in `names`; the others are None."""
         d = Path(directory)
         with open(d / "shapes.json") as fh:
             manifest = json.load(fh)
-        blocks = {}
-        for name in FACTOR_NAMES:
+        blocks = dict.fromkeys(FACTOR_NAMES)
+        for name in names:
             shape = tuple(manifest["shapes"][name])
             arr = np.fromfile(d / f"{name}.bin", dtype="<f8")
             if arr.size != int(np.prod(shape)):

@@ -1,17 +1,22 @@
 """End-to-end pipeline: stage orchestration, artifacts, and GeoJSON.
 
 Stages run in a fixed order, each reading the artifacts of the previous
-ones from the output directory and writing its own.  A manifest keeps the
-config hash plus per-stage timings and output file hashes, so rerunning a
-finished stage with an unchanged config is skipped after verifying the
-artifacts on disk still match their recorded hashes.
+ones from the output directory and writing its own.  STAGE_IO declares
+what every stage reads (config keys and files) and writes.  The manifest
+records, per stage, the values of the keys and the sha256 of the files
+it read, plus timings and the sha256 of its outputs.  A stage is fresh,
+and a rerun skips it, when its inputs are unchanged and its outputs on
+disk still match their recorded hashes; so an edit reruns only the stages
+that read what changed, and the stages whose input bytes changed in turn.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
+import os
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +26,7 @@ from .activity_ingest import (HapMatrix, build_hap_matrix, detect_activities,
 from .config import PipelineConfig
 from .errors import DataError
 from .geo_grid import Box, GridIndex, decode, enumerate_cells
-from .latent_fusion import LatentFactors, fit
+from .latent_fusion import Hyperparams, LatentFactors, fit
 from .poi_ingest import (CategoryTable, FeatureMatrix, PoiMatrix,
                          build_poi_matrix, parse_pois, raw_poi_features,
                          svd_features, tfidf_transform)
@@ -31,18 +36,52 @@ from .zone_cluster import (ZoneModel, crf_fit, kmeans, lattice_adjacency,
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("segment", "ingest-gps", "ingest-poi", "fit", "cluster", "annotate")
 
-# per-stage output artifacts, relative to the run directory
-STAGE_OUTPUTS = {
-    "segment": ("cells.csv",),
-    "ingest-gps": ("hap.coo", "hap.json"),
-    "ingest-poi": ("poi.coo", "poi.json"),
-    "fit": ("factors/U.bin", "factors/V.bin", "factors/Q.bin", "factors/Z.bin",
-            "factors/A.bin", "factors/W.bin", "factors/shapes.json", "trace.csv"),
-    "cluster": ("labels.csv", "zones.geojson"),
-    "annotate": ("report.csv", "report.txt"),
+@dataclass(frozen=True)
+class StageIO:
+    """The config keys a stage reads, the files it reads, and what it writes.
+
+    A file is an artifact relative to the run directory, or one of
+    INPUT_PATH_KEYS, the config keys that name an input file.
+    """
+
+    keys: tuple[str, ...]
+    files: tuple[str, ...]
+    outputs: tuple[str, ...]
+
+
+INPUT_PATH_KEYS = ("gps_path", "poi_path", "category_path")
+_HAP = ("hap.coo", "hap.json")
+_POI = ("poi.coo", "poi.json")
+
+STAGE_IO = {
+    "segment": StageIO(("min_lat", "min_lon", "max_lat", "max_lon", "level"),
+                       (), ("cells.csv",)),
+    "ingest-gps": StageIO(("stay_distance_m", "stay_duration_s", "timezone",
+                           "weekdays_only"), ("cells.csv", "gps_path"), _HAP),
+    "ingest-poi": StageIO((), ("cells.csv", "poi_path", "category_path"), _POI),
+    "fit": StageIO((*(f.name for f in fields(Hyperparams)), "mask_mode"),
+                   _POI + _HAP,
+                   ("factors/U.bin", "factors/V.bin", "factors/Q.bin",
+                    "factors/Z.bin", "factors/A.bin", "factors/W.bin",
+                    "factors/shapes.json", "trace.csv")),
+    # plus the files of its feature and the outputs of its method, below
+    "cluster": StageIO(("method", "feature", "zones", "beta", "svd_t", "seed"),
+                       ("cells.csv",), ("labels.csv", "zones.geojson")),
+    "annotate": StageIO((), ("cells.csv", "labels.csv", *_POI, "category_path"),
+                        ("report.csv", "report.txt")),
+}  # in run order
+
+CLUSTER_FEATURE_FILES = {
+    "raw_poi": _POI, "tfidf": _POI, "svd_poi": _POI,
+    "latent_v": ("factors/shapes.json", "factors/V.bin"),
+    "latent_z": ("factors/shapes.json", "factors/Z.bin"),
 }
+CLUSTER_METHOD_OUTPUTS = {"kmeans": (), "crf": ("model.json",)}
+
+STAGES = tuple(STAGE_IO)
+# per-stage output artifacts, relative to the run directory
+STAGE_OUTPUTS = {stage: io.outputs for stage, io in STAGE_IO.items()}
 
 DEFAULT_PALETTE = (
     "#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#eeca3b",
@@ -99,6 +138,9 @@ class Pipeline:
         self.manifest_path = self.out / "manifest.json"
         # the grid of cells.csv, once segment built it or a stage loaded it
         self._kept_grid: GridIndex | None = None
+        # path -> ((inode, size, mtime), sha256): each file is hashed once
+        # while its stat holds, then serves every stage that reads it
+        self._digests: dict[Path, tuple[tuple[int, int, int], str]] = {}
 
     # --- manifest -------------------------------------------------------
 
@@ -109,38 +151,88 @@ class Pipeline:
         return {"config_hash": self.cfg.config_hash(), "stages": {}}
 
     def _save_manifest(self, manifest: dict) -> None:
-        with open(self.manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # a write that fails midway leaves the previous manifest in place
+        tmp = self.manifest_path.with_name(self.manifest_path.name + ".tmp")
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, self.manifest_path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
-    def _is_fresh(self, manifest: dict, stage: str) -> bool:
-        if manifest.get("config_hash") != self.cfg.config_hash():
-            return False
+    # --- stage inputs and freshness -------------------------------------
+
+    def _io(self, stage: str) -> StageIO:
+        io = STAGE_IO[stage]
+        if stage != "cluster":
+            return io
+        return StageIO(io.keys, io.files + CLUSTER_FEATURE_FILES[self.cfg.feature],
+                       io.outputs + CLUSTER_METHOD_OUTPUTS[self.cfg.method])
+
+    def _path(self, name: str) -> Path | None:
+        """Where a declared file lives; None for an unset path key."""
+        if name in INPUT_PATH_KEYS:
+            value = getattr(self.cfg, name)
+            return Path(value) if value else None
+        return self.out / name
+
+    def _digest(self, path: Path, reread: bool = False) -> str | None:
+        """sha256 of a file, None when it is missing.
+
+        Reuses the digest this pipeline last took of the file while its
+        inode, size and mtime are unchanged, unless `reread` is set.
+        """
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            return None
+        stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
+        known = self._digests.get(path)
+        if reread or known is None or known[0] != stamp:
+            known = self._digests[path] = (stamp, file_sha256(path))
+        return known[1]
+
+    def _inputs(self, io: StageIO) -> dict:
+        """Each declared config key's value and each declared file's sha256
+        ("" for the builtin category table, None for a missing file)."""
+        inputs = {key: getattr(self.cfg, key) for key in io.keys}
+        for name in io.files:
+            path = self._path(name)
+            inputs[name] = "" if path is None else self._digest(path)
+        return inputs
+
+    def _staleness(self, manifest: dict, stage: str, io: StageIO,
+                   inputs: dict) -> str | None:
+        """Why the stage must rerun, or None when it is fresh."""
         entry = manifest["stages"].get(stage)
         if entry is None:
-            return False
+            return "no entry"
+        recorded = entry.get("inputs", {})
+        for name, value in inputs.items():
+            if name in recorded and recorded[name] == value:
+                continue
+            if name in io.keys:
+                return f"config key {name} changed"
+            path = self._path(name)
+            label = path.name if path is not None and name in INPUT_PATH_KEYS else name
+            return f"input {label} {'missing' if value is None else 'changed'}"
         for rel, digest in entry["outputs"].items():
-            target = self.out / rel
-            if not target.exists() or file_sha256(target) != digest:
-                return False
-        return True
+            if self._digest(self.out / rel, reread=True) != digest:
+                return f"output {rel} modified or missing"
+        return None
 
-    # --- stage inputs ---------------------------------------------------
-
-    def _require(self, stage: str, *rels: str) -> list[Path]:
-        paths = []
-        for rel in rels:
-            p = self.out / rel
-            if not p.exists():
-                raise DataError(f"stage {stage!r} needs {p}; "
-                                f"run the earlier stages first")
-            paths.append(p)
-        return paths
+    def _require(self, stage: str, *names: str) -> None:
+        for name in names:
+            path = self._path(name)
+            if path is not None and not path.exists():
+                hint = "" if name in INPUT_PATH_KEYS else "; run the earlier stages first"
+                raise DataError(f"stage {stage!r} needs {path}{hint}")
 
     def _grid(self, stage: str) -> GridIndex:
-        (path,) = self._require(stage, "cells.csv")
+        self._require(stage, "cells.csv")
         if self._kept_grid is None:
-            self._kept_grid = GridIndex.from_csv(path)
+            self._kept_grid = GridIndex.from_csv(self.out / "cells.csv")
         return self._kept_grid
 
     def _categories(self) -> CategoryTable:
@@ -193,7 +285,6 @@ class Pipeline:
                 "observed_fraction": poi.observed_fraction()}
 
     def _stage_fit(self) -> dict:
-        self._require("fit", "poi.coo", "hap.coo")
         poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
         hap = HapMatrix.load(self.out / "hap.coo", self.out / "hap.json")
         P = poi.P.toarray().astype(np.float64)
@@ -205,27 +296,23 @@ class Pipeline:
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
                 "relative_decrease": trace.relative_decrease}
 
-    def _features(self, poi: PoiMatrix) -> FeatureMatrix:
+    def _features(self) -> FeatureMatrix:
         kind = self.cfg.feature
+        block = {"latent_v": "V", "latent_z": "Z"}.get(kind)
+        if block is not None:
+            factors = LatentFactors.load(self.out / "factors", (block,))
+            return FeatureMatrix(F=getattr(factors, block), kind=kind)
+        poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
         if kind == "raw_poi":
             return raw_poi_features(poi)
         if kind == "tfidf":
             return tfidf_transform(poi)
-        if kind == "svd_poi":
-            return svd_features(tfidf_transform(poi), self.cfg.svd_t)
-        factors = LatentFactors.load(self.out / "factors")
-        if kind == "latent_v":
-            return FeatureMatrix(F=factors.V, kind="latent_v")
-        return FeatureMatrix(F=factors.Z, kind="latent_z")
+        return svd_features(tfidf_transform(poi), self.cfg.svd_t)
 
     def _stage_cluster(self) -> dict:
         cfg = self.cfg
         grid = self._grid("cluster")
-        self._require("cluster", "poi.coo")
-        if cfg.feature in ("latent_v", "latent_z"):
-            self._require("cluster", "factors/shapes.json")
-        poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
-        F = self._features(poi)
+        F = self._features()
         notes = {"method": cfg.method, "feature": cfg.feature, "zones": cfg.zones}
         if cfg.method == "crf":
             model = crf_fit(F, lattice_adjacency(*grid.shape), c=cfg.zones,
@@ -234,13 +321,14 @@ class Pipeline:
             model.save(self.out / "model.json")
         else:
             labels, _ = kmeans(F, cfg.zones, seed=cfg.seed)
+            # left by an earlier crf run; nothing would track it now
+            (self.out / "model.json").unlink(missing_ok=True)
         save_labels(self.out / "labels.csv", grid.cells, labels)
         export_geojson(labels, grid, path=self.out / "zones.geojson")
         return notes
 
     def _stage_annotate(self) -> dict:
         grid = self._grid("annotate")
-        self._require("annotate", "labels.csv", "poi.coo")
         codes, labels = load_labels(self.out / "labels.csv")
         if codes != [c.code for c in grid.cells]:
             raise DataError("labels.csv does not match the current grid")
@@ -261,11 +349,14 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.cfg.save(self.out / "config.txt")
         manifest = self._load_manifest()
-        if manifest.get("config_hash") != self.cfg.config_hash():
-            manifest = {"config_hash": self.cfg.config_hash(), "stages": {}}
-        if not force and self._is_fresh(manifest, stage):
+        io = self._io(stage)
+        inputs = self._inputs(io)
+        reason = "forced" if force else self._staleness(manifest, stage, io, inputs)
+        if reason is None:
             logger.info("stage %s is up to date, skipping", stage)
             return manifest["stages"][stage]
+        logger.info("running stage %s: %s", stage, reason)
+        self._require(stage, *io.files)
         runner = getattr(self, "_stage_" + stage.replace("-", "_"))
         started = time.perf_counter()
         try:
@@ -274,14 +365,29 @@ class Pipeline:
             raise DataError(f"stage {stage!r} failed: {exc}") from exc
         entry = {
             "seconds": time.perf_counter() - started,
-            "outputs": {rel: file_sha256(self.out / rel)
-                        for rel in STAGE_OUTPUTS[stage]},
+            "inputs": inputs,
+            "outputs": {rel: self._digest(self.out / rel, reread=True)
+                        for rel in io.outputs},
             "notes": notes,
         }
+        manifest["config_hash"] = self.cfg.config_hash()
         manifest["stages"][stage] = entry
         self._save_manifest(manifest)
         logger.info("stage %s done in %.2fs", stage, entry["seconds"])
         return entry
+
+    def status(self) -> dict[str, str | None]:
+        """Each stage's reason to rerun, or None when it is fresh.
+
+        Judges every stage against the files on disk now, so a stage after
+        a stale one can still turn stale when that one reruns.
+        """
+        manifest = self._load_manifest()
+        reasons = {}
+        for stage in STAGES:
+            io = self._io(stage)
+            reasons[stage] = self._staleness(manifest, stage, io, self._inputs(io))
+        return reasons
 
     def run(self, force: bool = False) -> dict:
         for stage in STAGES:

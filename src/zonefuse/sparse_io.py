@@ -11,6 +11,8 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
+_ROWS_PER_WRITE = 1 << 12
+
 
 def save_coo(path, matrix) -> None:
     """Write the nonzeros of a sparse matrix as sorted integer triples."""
@@ -18,8 +20,12 @@ def save_coo(path, matrix) -> None:
     order = np.lexsort((coo.col, coo.row))
     triples = np.column_stack((coo.row[order], coo.col[order],
                                coo.data[order].astype(np.int64)))
+    # the bytes np.savetxt(fmt="%d") writes, from one %-format per block
+    # of rows, which bounds the Python ints alive at once
     with open(path, "w") as fh:
-        np.savetxt(fh, triples, fmt="%d")
+        for start in range(0, len(triples), _ROWS_PER_WRITE):
+            block = triples[start:start + _ROWS_PER_WRITE]
+            fh.write(("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_coo(path, shape: tuple[int, int]) -> sp.csr_array:

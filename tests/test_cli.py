@@ -2,7 +2,7 @@
 import pytest
 
 import zonefuse.pipeline
-from zonefuse.cli import main
+from zonefuse.cli import STAGE_VERBS, main
 from zonefuse.config import PipelineConfig
 from zonefuse.errors import DivergenceError
 from zonefuse.zone_cluster import load_labels
@@ -52,6 +52,26 @@ class TestRunVerb:
         assert code == 0
         assert (tmp_path / "seg" / "cells.csv").exists()
         assert not (tmp_path / "seg" / "hap.coo").exists()
+
+
+class TestStatusVerb:
+    def test_fresh_then_stale_with_reason(self, city, tmp_path, capsys):
+        base = ["--config", str(city / "config.txt"), "--out-dir",
+                str(tmp_path / "st"), "--set", "max_iter=20", "--set", "k=4",
+                "--set", "method=kmeans", "--set", "feature=raw_poi"]
+        assert main(["status"] + base) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{stage}: stale (no entry)" for stage in STAGE_VERBS]
+        assert main(["run"] + base) == 0
+        capsys.readouterr()
+        assert main(["status"] + base) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{stage}: fresh" for stage in STAGE_VERBS]
+        assert main(["status"] + base + ["--set", "zones=3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4] == "cluster: stale (config key zones changed)"
+        assert lines[:4] + lines[5:] == [
+            f"{stage}: fresh" for stage in STAGE_VERBS if stage != "cluster"]
 
 
 class TestExitCodes:

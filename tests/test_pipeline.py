@@ -1,15 +1,19 @@
 """Pipeline orchestration: staging, artifacts, resumption, GeoJSON."""
 import json
+import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zonefuse.pipeline
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import DataError
 from zonefuse.geo_grid import GridIndex, decode
 from zonefuse.latent_fusion import TERM_NAMES
-from zonefuse.pipeline import (STAGE_OUTPUTS, STAGES, Pipeline, export_geojson,
-                               file_sha256, run)
+from zonefuse.pipeline import (STAGE_IO, STAGE_OUTPUTS, STAGES, Pipeline,
+                               export_geojson, file_sha256, run)
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
 from zonefuse.zone_cluster import load_labels
 
@@ -117,16 +121,17 @@ class TestResumption:
 
     def test_config_change_resets_manifest(self, city):
         cfg = variant(city, "reconf")
-        Pipeline(cfg).run()
+        before = run(cfg)["stages"]
         changed = variant(city, "reconf", zones="3")
-        manifest = Pipeline(changed)._load_manifest()
-        # stale on-disk manifest hash no longer matches
-        assert manifest["config_hash"] != changed.config_hash()
-        Pipeline(changed).run_stage("segment")
-        with open(city / "reconf" / "manifest.json") as fh:
-            fresh = json.load(fh)
+        assert Pipeline(changed).status()["cluster"] == "config key zones changed"
+        fresh = run(changed)
         assert fresh["config_hash"] == changed.config_hash()
-        assert list(fresh["stages"]) == ["segment"]
+        # only the stages that read zones, or the labels, rerun
+        for stage in ("segment", "ingest-gps", "ingest-poi", "fit"):
+            assert fresh["stages"][stage] == before[stage]
+        for stage in ("cluster", "annotate"):
+            assert fresh["stages"][stage] != before[stage]
+        assert fresh["stages"]["cluster"]["inputs"]["zones"] == 3
 
     def test_missing_prerequisite_raises(self, city):
         cfg = variant(city, "outoforder")
@@ -166,6 +171,128 @@ class TestResumption:
             Pipeline(cfg).run_stage("polish")
 
 
+def reran(cfg) -> list[str]:
+    """Run every stage of cfg; return those whose manifest entry changed."""
+    before = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())["stages"]
+    after = run(cfg)["stages"]
+    return [stage for stage in STAGES if after[stage] != before.get(stage)]
+
+
+def own_inputs(city, tmp_path) -> dict:
+    """Copies of the city's input files, for tests that edit them."""
+    copies = {}
+    for key, name in (("gps_path", "gps.csv"), ("poi_path", "pois.csv")):
+        shutil.copy(city / name, tmp_path / name)
+        copies[key] = str(tmp_path / name)
+    return copies
+
+
+class TestStageCache:
+    def test_every_config_key_but_out_dir_is_declared(self):
+        declared = {name for io in STAGE_IO.values() for name in io.keys + io.files}
+        assert {f.name for f in fields(PipelineConfig)} - declared == {"out_dir"}
+
+    def test_beta_edit_reruns_only_cluster_and_annotate(self, city):
+        fused = {"method": "crf", "feature": "latent_v"}
+        cfg = variant(city, "retune", beta="1.0", **fused)
+        run(cfg)
+        out = city / "retune"
+        kept = ["cells.csv", "hap.coo", "poi.coo",
+                *(p.relative_to(out) for p in (out / "factors").iterdir())]
+        mtimes = {rel: (out / rel).stat().st_mtime_ns for rel in kept}
+        assert reran(variant(city, "retune", beta="3.0", **fused)) == \
+            ["cluster", "annotate"]
+        assert {rel: (out / rel).stat().st_mtime_ns for rel in kept} == mtimes
+        run(variant(city, "retune_forced", beta="3.0", **fused), force=True)
+        for name in ("labels.csv", "report.csv", "zones.geojson"):
+            assert (out / name).read_bytes() == \
+                (city / "retune_forced" / name).read_bytes()
+
+    def test_truncated_pois_rerun_poi_ingest_and_later(self, city, tmp_path):
+        inputs = own_inputs(city, tmp_path)
+        cfg = variant(city, "poicut", **inputs)
+        run(cfg)
+        pois = tmp_path / "pois.csv"
+        lines = pois.read_text().splitlines(keepends=True)
+        pois.write_text("".join(lines[:len(lines) // 2]))
+        status = Pipeline(cfg).status()
+        assert status["ingest-poi"] == "input pois.csv changed"
+        assert status["segment"] is None and status["ingest-gps"] is None
+        assert reran(cfg) == ["ingest-poi", "fit", "cluster", "annotate"]
+
+    def test_stay_edit_reruns_fit_when_hap_changes(self, city):
+        cfg = variant(city, "stays")
+        run(cfg)
+        hap = (city / "stays" / "hap.coo").read_bytes()
+        changed = variant(city, "stays", stay_duration_s="3600")
+        assert Pipeline(changed).status()["ingest-gps"] == \
+            "config key stay_duration_s changed"
+        # raw_poi clustering reads no factors, so the edit stops at fit
+        assert reran(changed) == ["ingest-gps", "fit"]
+        assert (city / "stays" / "hap.coo").read_bytes() != hap
+
+    def test_identical_upstream_rewrite_keeps_later_stages(self, city):
+        cfg = variant(city, "rewrite")
+        pipe = Pipeline(cfg)
+        pipe.run()
+        cells = (city / "rewrite" / "cells.csv").read_bytes()
+        pipe.run_stage("segment", force=True)
+        assert (city / "rewrite" / "cells.csv").read_bytes() == cells
+        assert all(reason is None for reason in Pipeline(cfg).status().values())
+        assert reran(cfg) == []
+
+    def test_status_reasons(self, city):
+        cfg = variant(city, "why")
+        assert set(Pipeline(cfg).status().values()) == {"no entry"}
+        assert not (city / "why").exists()  # status writes nothing
+        run(cfg)
+        (city / "why" / "hap.coo").unlink()
+        status = Pipeline(cfg).status()
+        assert status["ingest-gps"] == "output hap.coo modified or missing"
+        assert status["fit"] == "input hap.coo missing"
+        assert status["segment"] is None
+
+    def test_crf_model_is_tracked_and_kmeans_removes_it(self, city):
+        cfg = variant(city, "model", method="crf", feature="latent_v")
+        manifest = run(cfg)
+        model = city / "model" / "model.json"
+        assert file_sha256(model) == manifest["stages"]["cluster"]["outputs"]["model.json"]
+        model.unlink()
+        assert Pipeline(cfg).status()["cluster"] == \
+            "output model.json modified or missing"
+        assert reran(cfg)[0] == "cluster"
+        assert model.exists()
+        run(variant(city, "model", method="kmeans", feature="latent_v"))
+        assert not model.exists()
+
+    def test_failed_manifest_write_keeps_previous(self, city, monkeypatch):
+        cfg = variant(city, "atomic")
+        pipe = Pipeline(cfg)
+        pipe.run()
+        out = city / "atomic"
+        before = (out / "manifest.json").read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"stages": {')
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(RuntimeError, match="disk full"):
+            pipe.run_stage("segment", force=True)
+        assert (out / "manifest.json").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
+    def test_each_file_hashed_once_per_pipeline(self, city, monkeypatch):
+        cfg = variant(city, "hashonce", method="crf", feature="latent_v")
+        run(cfg)
+        hashed = []
+        monkeypatch.setattr(zonefuse.pipeline, "file_sha256",
+                            lambda path: hashed.append(path) or file_sha256(path))
+        Pipeline(cfg).run()
+        assert len(hashed) == len(set(hashed))
+        assert Path(cfg.gps_path) in hashed
+
+
 class TestFeatureAndMethodVariants:
     def test_crf_on_latent_features(self, city):
         cfg = variant(city, "crf_latent", method="crf", feature="latent_v",
@@ -174,6 +301,15 @@ class TestFeatureAndMethodVariants:
         assert (city / "crf_latent" / "model.json").exists()
         codes, labels = load_labels(city / "crf_latent" / "labels.csv")
         assert len(codes) == 64
+
+    def test_cluster_reads_only_its_factor_block(self, city):
+        cfg = variant(city, "onlyv", method="crf", feature="latent_v")
+        pipe = Pipeline(cfg)
+        pipe.run()
+        labels = (city / "onlyv" / "labels.csv").read_bytes()
+        (city / "onlyv" / "factors" / "Q.bin").unlink()
+        pipe.run_stage("cluster", force=True)
+        assert (city / "onlyv" / "labels.csv").read_bytes() == labels
 
     def test_tfidf_kmeans(self, city):
         cfg = variant(city, "tfidf", feature="tfidf")
