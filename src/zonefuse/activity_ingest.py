@@ -22,13 +22,16 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from itertools import chain, compress, islice, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .geo_grid import EARTH_RADIUS_M, GeoPoint, GridIndex, haversine_m
 from .sparse_io import load_coo, save_coo
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -159,18 +162,21 @@ def _convert(fields: list[str], convert) -> tuple[np.ndarray, np.ndarray]:
 def _read_columns(fh, width: int, picks: list[int]):
     """Yield the picked fields of the next CHUNK_LINES rows, column-wise.
 
-    A chunk of plain lines (no quote, carriage return or NUL, each with
-    `width` fields) is split directly.  Any other chunk goes through
-    csv.reader, which reads on past the chunk to finish a quoted field
-    that spans lines.  As in csv.DictReader, blank rows are skipped.
-    The missing fields of a short row read as empty, which every field
-    rejects just as it rejects DictReader's None.
+    A chunk of plain lines (no quote, NUL or carriage return outside a
+    CRLF line ending, each with `width` fields) is split directly.  Any
+    other chunk goes through csv.reader, which reads on past the chunk to
+    finish a quoted field that spans lines.  As in csv.DictReader, blank
+    rows are skipped.  The missing fields of a short row read as empty,
+    which every field rejects just as it rejects DictReader's None.
     """
     while True:
         lines = list(islice(fh, CHUNK_LINES))
         if not lines:
             return
         text = "".join(lines)
+        if "\r" in text:
+            # a lone \r, which ends a line as well, is left for csv.reader
+            text = text.replace("\r\n", "\n")
         if ('"' in text or "\r" in text or "\0" in text
                 or set(map(str.count, lines, repeat(","))) != {width - 1}):
             reader = csv.reader(chain(lines, fh))
@@ -491,5 +497,8 @@ def build_hap_matrix(trips: np.ndarray, r: int, tz: str = "UTC") -> HapMatrix:
                          f"outside [0, {r}) or a time that is not a date")
     hour, _ = local_hour_weekday(t, zone)
     rows = kind * (s * r) + hour * r + origin
+    # imported here: scipy.sparse takes longer to import than a cached rerun
+    # takes to run, and only the stages that build or read T need it
+    import scipy.sparse as sp
     data = sp.coo_array((np.ones(len(t)), (rows, dest)), shape=(2 * s * r, r))
     return HapMatrix(data=sp.csr_array(data), r=r, s=s, tz=tz)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DivergenceError
 
@@ -148,16 +147,23 @@ def _checked(P, I, T, f: LatentFactors, h: Hyperparams) -> tuple[np.ndarray, np.
     return P, I
 
 
-def _residuals(P, I, QT, f: LatentFactors):
-    """The residuals of the four quadratic terms, given Q T."""
-    return (I * (P - f.U @ f.V), QT - f.Z, f.Z - f.U.T @ f.A,
-            f.V - f.W @ f.Z)
+def _observed_columns(I) -> np.ndarray:
+    """The regions with an observed entry; the others add nothing to the
+    reconstruction term, its Grams or its right-hand sides."""
+    return np.flatnonzero(I.any(axis=0))
+
+
+def _residuals(QT, f: LatentFactors):
+    """The residuals of the three coupling terms, given Q T."""
+    return QT - f.Z, f.Z - f.U.T @ f.A, f.V - f.W @ f.Z
 
 
 def _objective(P, I, QT, q_sq: float, f: LatentFactors,
                h: Hyperparams) -> tuple[float, dict[str, float]]:
     """The objective with the Q block given as Q T and ||Q||^2."""
-    R, E, S, D = _residuals(P, I, QT, f)
+    obs = _observed_columns(I)
+    R = I[:, obs] * (P[:, obs] - f.U @ f.V[:, obs])
+    E, S, D = _residuals(QT, f)
     terms = {
         "recon": 0.5 * float((R * R).sum()),
         "transform": 0.5 * h.lambda1 * float((E * E).sum()),
@@ -182,7 +188,8 @@ def gradients(P, I, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.ndarray
     The objective's reference oracle: `fit` itself needs no gradients.
     """
     P, I = _checked(P, I, T, f, h)
-    R, E, S, D = _residuals(P, I, f.Q @ T, f)
+    R = I * (P - f.U @ f.V)
+    E, S, D = _residuals(f.Q @ T, f)
     return {
         "U": -R @ f.V.T - h.lambda2 * (f.A @ S.T) + h.lambda5 * f.U,
         "V": -f.U.T @ R + h.lambda4 * D + h.lambda5 * f.V,
@@ -234,19 +241,28 @@ def _update_U(P, I, f: LatentFactors, h: Hyperparams) -> np.ndarray:
     # The mask gives each row of U its own Gram matrix and U^T A couples
     # the rows, so the block is one (p k) x (p k) system on U row-major.
     p, k = f.U.shape
+    obs = _observed_columns(I)
+    I, P, V = I[:, obs], P[:, obs], f.V[:, obs]
     H = h.lambda2 * np.kron(f.A @ f.A.T, np.eye(k))
     rows = np.arange(p)
-    H.reshape(p, k, p, k)[rows, :, rows, :] += _masked_grams(I, f.V)
+    H.reshape(p, k, p, k)[rows, :, rows, :] += _masked_grams(I, V)
     H.flat[::p * k + 1] += h.lambda5
-    B = (I * P) @ f.V.T + h.lambda2 * (f.A @ f.Z.T)
+    B = (I * P) @ V.T + h.lambda2 * (f.A @ f.Z.T)
     return _argmin(H, B.ravel(), f.U.ravel()).reshape(p, k)
 
 
 def _update_V(P, I, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    # one k x k system per region, solved as a batch
-    H = _masked_grams(I.T, f.U.T) + (h.lambda4 + h.lambda5) * np.eye(h.k)
-    B = f.U.T @ (I * P) + h.lambda4 * (f.W @ f.Z)
-    return _argmin(H, B.T[:, :, None], f.V.T[:, :, None])[:, :, 0].T
+    # One k x k system per observed region, solved as a batch.  An
+    # unobserved region's system is (l4 + l5) v = l4 (W Z)_j; with no
+    # term on it (l4 + l5 = 0) its column keeps its value.
+    obs = _observed_columns(I)
+    WZ = h.lambda4 * (f.W @ f.Z)
+    c = h.lambda4 + h.lambda5
+    V = WZ / c if c > 0 else f.V.copy()
+    H = _masked_grams(I[:, obs].T, f.U.T) + c * np.eye(h.k)
+    B = f.U.T @ (I[:, obs] * P[:, obs]) + WZ[:, obs]
+    V[:, obs] = _argmin(H, B.T[:, :, None], f.V[:, obs].T[:, :, None])[:, :, 0].T
+    return V
 
 
 def _q_solver(T, h: Hyperparams):
@@ -257,9 +273,11 @@ def _q_solver(T, h: Hyperparams):
     factored once, and Q T = Z - l5 Y.  With l5 = 0, M may be singular
     and the least-norm minimiser is taken.
     """
+    # imported here: scipy.sparse takes longer to import than a cached rerun
+    # takes to run, and scipy.sparse.linalg adds ~8 MB of resident memory
+    import scipy.sparse as sp
     M = sp.csc_array(h.lambda1 * (T.T @ T) + h.lambda5 * sp.identity(T.shape[1]))
     if h.lambda5 > 0:
-        # imported here: scipy.sparse.linalg adds ~8 MB of resident memory
         from scipy.sparse.linalg import splu
         # a symmetric fill-reducing order; unrelaxed supernodes store no
         # padding zeros, which keeps the factor 20% smaller on 32x32 grids

@@ -145,10 +145,21 @@ class Pipeline:
     # --- manifest -------------------------------------------------------
 
     def _load_manifest(self) -> dict:
-        if self.manifest_path.exists():
+        """The manifest on disk; an empty one when it is missing, is not
+        JSON or has no stages, so every stage reruns and rewrites it."""
+        empty = {"config_hash": self.cfg.config_hash(), "stages": {}}
+        if not self.manifest_path.exists():
+            return empty
+        try:
             with open(self.manifest_path) as fh:
-                return json.load(fh)
-        return {"config_hash": self.cfg.config_hash(), "stages": {}}
+                manifest = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            manifest = None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+            logger.warning("%s is not a readable manifest; treating the stage "
+                           "cache as empty", self.manifest_path)
+            return empty
+        return manifest
 
     def _save_manifest(self, manifest: dict) -> None:
         # a write that fails midway leaves the previous manifest in place
@@ -287,9 +298,8 @@ class Pipeline:
     def _stage_fit(self) -> dict:
         poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
         hap = HapMatrix.load(self.out / "hap.coo", self.out / "hap.json")
-        P = poi.P.toarray().astype(np.float64)
         I = poi.observation_matrix(self.cfg.mask_mode)
-        factors, trace = fit(P, I, hap.data, self.cfg.hyperparams())
+        factors, trace = fit(poi.P, I, hap.data, self.cfg.hyperparams())
         factors.save(self.out / "factors")
         trace.to_csv(self.out / "trace.csv")
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,

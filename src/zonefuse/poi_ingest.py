@@ -1,4 +1,4 @@
-"""POI ingestion into sparse category-by-region matrices and features.
+"""POI ingestion into category-by-region count matrices and features.
 
 POIs carry a category from a fixed table.  Counts land in a category x
 region matrix P whose columns are observed only where at least one POI
@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 from .geo_grid import GeoPoint, GridIndex
-from .sparse_io import load_coo, save_coo
+from .sparse_io import read_coo, save_coo
 
 logger = logging.getLogger(__name__)
 
@@ -165,12 +164,23 @@ def parse_pois(path, categories: CategoryTable) -> tuple[list[PoiRecord], dict[s
 
 @dataclass
 class PoiMatrix:
-    """Sparse POI counts (category x region) with per-column observation flags."""
+    """POI counts (category x region) with per-column observation flags.
 
-    P: sp.csr_array
+    P is a dense float64 array: a category table by a city grid is small
+    (28 x 4096 is 0.9 MB), and every reader of P wants it dense.
+    """
+
+    P: np.ndarray
     mask: np.ndarray
     categories: list[str]
     dropped: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.P, np.ndarray) or self.P.ndim != 2:
+            got = (f"shape {self.P.shape}" if isinstance(self.P, np.ndarray)
+                   else type(self.P).__name__)
+            raise ValueError(f"P must be a 2-d array, got {got}")
+        self.P = self.P.astype(np.float64, copy=False)
 
     @property
     def r(self) -> int:
@@ -189,11 +199,11 @@ class PoiMatrix:
         if mode == "column":
             return np.tile(self.mask.astype(np.float64), (self.n_categories, 1))
         if mode == "elementwise":
-            return (self.P.toarray() > 0).astype(np.float64)
+            return (self.P > 0).astype(np.float64)
         raise ValueError(f"unknown observation mode {mode!r}")
 
     def sparsity(self) -> float:
-        return 1.0 - self.P.nnz / float(self.P.shape[0] * self.P.shape[1])
+        return 1.0 - np.count_nonzero(self.P) / float(self.P.size)
 
     def observed_fraction(self) -> float:
         return float(self.mask.mean()) if self.mask.size else 0.0
@@ -201,7 +211,7 @@ class PoiMatrix:
     def save(self, coo_path, sidecar_path) -> None:
         save_coo(coo_path, self.P)
         sidecar = {"r": int(self.r), "n_categories": int(self.n_categories),
-                   "categories": list(self.categories), "nnz": int(self.P.nnz),
+                   "categories": list(self.categories), "nnz": int(np.count_nonzero(self.P)),
                    "dropped": int(self.dropped)}
         with open(sidecar_path, "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -211,8 +221,11 @@ class PoiMatrix:
     def load(cls, coo_path, sidecar_path) -> "PoiMatrix":
         with open(sidecar_path) as fh:
             meta = json.load(fh)
-        P = load_coo(coo_path, (meta["n_categories"], meta["r"]))
-        mask = np.asarray((P > 0).sum(axis=0)).ravel() > 0
+        shape = (meta["n_categories"], meta["r"])
+        rows, cols, vals = read_coo(coo_path, shape)
+        P = np.zeros(shape)
+        np.add.at(P, (rows, cols), vals)
+        mask = (P > 0).any(axis=0)
         return cls(P=P, mask=mask, categories=list(meta["categories"]),
                    dropped=int(meta.get("dropped", 0)))
 
@@ -234,9 +247,9 @@ def build_poi_matrix(records: list[PoiRecord], grid: GridIndex,
     inside = cols >= 0
     rows = category[inside]
     dropped = len(records) - len(rows)
-    data = sp.coo_array((np.ones(len(rows)), (rows, cols[inside])), shape=(n_cat, r))
-    P = sp.csr_array(data)
-    mask = np.asarray((P > 0).sum(axis=0)).ravel() > 0
+    P = np.bincount(rows * r + cols[inside], minlength=n_cat * r)
+    P = P.reshape(n_cat, r).astype(np.float64)
+    mask = (P > 0).any(axis=0)
     if dropped:
         logger.info("build_poi_matrix dropped %d POIs outside the grid", dropped)
     return PoiMatrix(P=P, mask=mask, categories=list(categories.names), dropped=dropped)
@@ -264,7 +277,7 @@ class FeatureMatrix:
 
 def raw_poi_features(poi: PoiMatrix) -> FeatureMatrix:
     """POI counts as dense features (the no-preprocessing baseline)."""
-    return FeatureMatrix(F=poi.P.toarray(), kind="raw_poi")
+    return FeatureMatrix(F=poi.P.copy(), kind="raw_poi")
 
 
 def tfidf_transform(poi: PoiMatrix) -> FeatureMatrix:
@@ -275,7 +288,7 @@ def tfidf_transform(poi: PoiMatrix) -> FeatureMatrix:
     the number of observed regions containing c.  Unobserved columns stay
     zero.
     """
-    P = poi.P.toarray().astype(np.float64)
+    P = poi.P
     out = np.zeros_like(P)
     obs = poi.mask
     n_obs = int(obs.sum())

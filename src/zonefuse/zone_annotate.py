@@ -43,8 +43,7 @@ def zone_pr(labels: np.ndarray, poi: PoiMatrix, s: int) -> np.ndarray:
     members = np.flatnonzero(labels == s)
     if members.size == 0:
         raise ValueError(f"zone {s} has no member regions")
-    dense = poi.P[:, members].toarray().astype(np.float64)
-    return dense.mean(axis=1)
+    return poi.P[:, members].mean(axis=1)
 
 
 def zone_npr(pr: np.ndarray) -> np.ndarray:

@@ -366,7 +366,7 @@ def test_09_annotation_identities_and_hand_example():
         labels[:n_zones] = np.arange(n_zones)
         P = rng.poisson(2.0, size=(8, 30)).astype(np.float64)
         mask = (P.sum(axis=0) > 0).astype(bool)
-        poi = PoiMatrix(P=sp.csr_array(P), mask=mask,
+        poi = PoiMatrix(P=P, mask=mask,
                         categories=[f"cat {i}" for i in range(8)])
         profiles = [p for p in build_profiles(labels, poi) if p.annotatable]
         if len(profiles) < 2:

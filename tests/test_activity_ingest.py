@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -523,6 +524,13 @@ PARSE_CASES = {
 }
 
 
+def crlf_copy(path):
+    """A copy of a text file with Windows line endings."""
+    copy = path.with_name("crlf_" + path.name)
+    copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return copy
+
+
 class TestParseGpsMatchesRowLoop:
     """parse_gps against the per-row csv.DictReader loop it replaced."""
 
@@ -545,15 +553,39 @@ class TestParseGpsMatchesRowLoop:
         header, rows = PARSE_CASES[case]
         f = tmp_path / "gps.csv"
         write_gps(f, rows, header=header)
-        for tz in ("UTC", "UTC+8", "America/New_York"):
-            self.check(f, weekdays_only=True, tz=tz)
-        self.check(f)
+        for path in (f, crlf_copy(f)):
+            for tz in ("UTC", "UTC+8", "America/New_York"):
+                self.check(path, weekdays_only=True, tz=tz)
+            self.check(path)
 
     def test_file_longer_than_a_chunk(self, tmp_path):
         f = tmp_path / "gps.csv"
         big_gps_file(f)
+        for path in (f, crlf_copy(f)):
+            self.check(path)
+            self.check(path, weekdays_only=True, tz="UTC-05:00")
+
+    def test_bare_carriage_return_in_a_field(self, tmp_path):
+        f = tmp_path / "gps.csv"
+        write_gps(f, ["u1,35.78,-78.64,1521120600", '"u\r2",35.78,-78.64,1521120601',
+                      "u1,35.7\r8,-78.64,1521120602", "u1,35.78,-78.64,1521120603\r",
+                      "u3,35.79,-78.64,1521120604"])
+        for path in (f, crlf_copy(f)):
+            self.check(path)
+
+    def test_crlf_lines_skip_the_csv_module(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        f = tmp_path / "gps.csv"
+        write_gps(f, [f"u{i % 5},{35.7 + rng.uniform(0, 0.1)!r},-78.6,{1521000000 + i}"
+                      for i in range(9000)])
+        f = crlf_copy(f)
+        reader, calls = csv.reader, []
+        monkeypatch.setattr(csv, "reader",
+                            lambda *args: calls.append(args) or reader(*args))
+        parse_gps(f)
+        assert len(calls) == 1  # the header row only
+        monkeypatch.undo()
         self.check(f)
-        self.check(f, weekdays_only=True, tz="UTC-05:00")
 
     def test_non_finite_or_undatable_times_are_malformed(self, tmp_path):
         # the row loop kept these and failed later, in the weekday filter

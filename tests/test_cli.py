@@ -73,6 +73,27 @@ class TestStatusVerb:
         assert lines[:4] + lines[5:] == [
             f"{stage}: fresh" for stage in STAGE_VERBS if stage != "cluster"]
 
+    @pytest.mark.parametrize("text", ['{"stages": {', "[]"])
+    def test_unreadable_manifest_reads_as_stale(self, city, tmp_path, capsys, text):
+        base = ["--config", str(city / "config.txt"), "--set", "max_iter=20",
+                "--set", "k=4", "--set", "method=kmeans", "--set", "feature=raw_poi"]
+        out = tmp_path / "bad"
+        assert main(["run"] + base + ["--out-dir", str(out)]) == 0
+        (out / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert main(["status"] + base + ["--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{stage}: stale (no entry)" for stage in STAGE_VERBS]
+        assert main(["run"] + base + ["--out-dir", str(out)]) == 0
+        assert main(["run"] + base + ["--out-dir", str(tmp_path / "fresh")]) == 0
+        for name in ("cells.csv", "hap.coo", "poi.coo", "labels.csv",
+                     "zones.geojson", "report.csv", "report.txt"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        capsys.readouterr()
+        assert main(["status"] + base + ["--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{stage}: fresh" for stage in STAGE_VERBS]
+
 
 class TestExitCodes:
     def test_unknown_key_exits_two(self, city, capsys):

@@ -1,0 +1,84 @@
+"""Which verbs load scipy: only the stages that build or factor a sparse
+matrix may.  Each check runs in a fresh interpreter, so the imports of
+the test process itself do not count."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zonefuse
+from zonefuse.config import PipelineConfig
+from zonefuse.pipeline import run
+from zonefuse.synth import SynthCitySpec, gen_synthetic_city, write_city_config
+
+SRC = Path(zonefuse.__file__).resolve().parents[1]
+
+PROBE = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+CLI = """
+from zonefuse.cli import main
+if main(sys.argv[1:]) != 0:
+    raise SystemExit("verb failed")
+"""
+
+
+def scipy_modules(body: str, *args: str) -> list[str]:
+    """The scipy modules loaded after body runs in a new interpreter."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", PROBE.format(body=body), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def primed(tmp_path_factory):
+    """The 8x8 city of the beta-edit cache test, run once at beta 1.0."""
+    root = tmp_path_factory.mktemp("imports")
+    spec = SynthCitySpec(width=8, height=8, n_zones=4, n_users=60,
+                         days=1, obs_rate=0.6, seed=5)
+    gen_synthetic_city(spec, root)
+    config = write_city_config(spec, root, max_iter="30", k="4", method="crf",
+                               feature="latent_v", beta="1.0")
+    run(PipelineConfig.load(config))
+    return root
+
+
+def verb(primed, *args: str) -> list[str]:
+    return scipy_modules(CLI, *args, "--config", str(primed / "config.txt"))
+
+
+def test_importing_the_pipeline_loads_no_scipy():
+    assert scipy_modules("import zonefuse.pipeline") == []
+
+
+def test_status_loads_no_scipy(primed):
+    assert verb(primed, "status") == []
+
+
+def test_cached_beta_edit_loads_no_scipy(primed):
+    out = primed / "out"
+    labels = (out / "labels.csv").read_bytes()
+    before = json.loads((out / "manifest.json").read_text())["stages"]
+    assert verb(primed, "run", "--set", "beta=3.0") == []
+    after = json.loads((out / "manifest.json").read_text())["stages"]
+    # annotate reran, so it read poi.coo, and still needed no scipy
+    assert (out / "labels.csv").read_bytes() != labels
+    assert [s for s in after if after[s] != before[s]] == ["annotate", "cluster"]
+
+
+def test_forced_poi_ingest_loads_no_scipy(primed):
+    assert verb(primed, "ingest-poi", "--force") == []
+
+
+def test_forced_fit_loads_scipy(primed):
+    # the probe sees scipy where it is needed: fit factors a sparse matrix
+    assert "scipy.sparse" in verb(primed, "fit", "--force")

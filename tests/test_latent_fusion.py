@@ -372,6 +372,66 @@ class TestFit:
         assert trace.iters[-1] < 2000
 
 
+def full_width_update_U(P, I, f, h):
+    """_update_U over every region, unobserved ones included."""
+    p, k = f.U.shape
+    H = h.lambda2 * np.kron(f.A @ f.A.T, np.eye(k))
+    rows = np.arange(p)
+    H.reshape(p, k, p, k)[rows, :, rows, :] += latent_fusion._masked_grams(I, f.V)
+    H.flat[::p * k + 1] += h.lambda5
+    B = (I * P) @ f.V.T + h.lambda2 * (f.A @ f.Z.T)
+    return latent_fusion._argmin(H, B.ravel(), f.U.ravel()).reshape(p, k)
+
+
+def full_width_update_V(P, I, f, h):
+    """_update_V as one batch over every region, unobserved ones included."""
+    H = latent_fusion._masked_grams(I.T, f.U.T) + (h.lambda4 + h.lambda5) * np.eye(h.k)
+    B = f.U.T @ (I * P) + h.lambda4 * (f.W @ f.Z)
+    return latent_fusion._argmin(H, B.T[:, :, None], f.V.T[:, :, None])[:, :, 0].T
+
+
+def full_width_recon(P, I, f):
+    R = I * (P - f.U @ f.V)
+    return 0.5 * float((R * R).sum())
+
+
+class TestObservedColumnSweep:
+    """The updates and objective that skip unobserved regions against
+    the full-width formulas."""
+
+    @staticmethod
+    def masks(P, rng):
+        p, r = P.shape
+        cols = rng.random(r) < 0.5
+        cols[:2] = True, False
+        entries = (rng.random((p, r)) < 0.4) & cols
+        return {"column": np.tile(cols.astype(float), (p, 1)),
+                "elementwise": entries.astype(float),
+                "none observed": np.zeros((p, r))}
+
+    @pytest.mark.parametrize("mask", ["column", "elementwise", "none observed"])
+    @pytest.mark.parametrize("lambdas", [(0.7, 0.02), (1.0, 3.0), (0.0, 0.0)])
+    def test_matches_full_width_formulas(self, mask, lambdas):
+        p, r, k, q = 6, 11, 3, 20
+        rng = np.random.default_rng(43)
+        P = rng.poisson(1.5, size=(p, r)).astype(float)
+        I = self.masks(P, rng)[mask]
+        T = rng.poisson(0.2, size=(q, r)).astype(float)
+        f = random_factors(44, p, r, k, q)
+        lambda4, lambda5 = lambdas
+        h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
+                        lambda4=lambda4, lambda5=lambda5)
+        assert np.allclose(latent_fusion._update_U(P, I, f, h),
+                           full_width_update_U(P, I, f, h), rtol=1e-10, atol=1e-12)
+        V = latent_fusion._update_V(P, I, f, h)
+        assert np.allclose(V, full_width_update_V(P, I, f, h), rtol=1e-10, atol=1e-12)
+        unobserved = ~I.any(axis=0)
+        if lambda4 + lambda5 == 0:
+            assert np.array_equal(V[:, unobserved], f.V[:, unobserved])
+        _, terms = latent_fusion._objective(P, I, f.Q @ T, 0.0, f, h)
+        assert terms["recon"] == pytest.approx(full_width_recon(P, I, f), rel=1e-12)
+
+
 class TestTraceAndPersistence:
     def test_trace_structure(self):
         P, I, T = standard_instance(32)

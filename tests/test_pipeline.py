@@ -282,6 +282,26 @@ class TestStageCache:
         assert (out / "manifest.json").read_bytes() == before
         assert not list(out.glob("*.tmp"))
 
+    @pytest.mark.parametrize("name,text", [("truncated", '{"stages": {'),
+                                           ("nostages", "[]")])
+    def test_unreadable_manifest_is_an_empty_cache(self, city, caplog, name, text):
+        cfg = variant(city, name)
+        run(cfg)
+        out = city / name
+        (out / "manifest.json").write_text(text)
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            assert set(Pipeline(cfg).status().values()) == {"no entry"}
+        assert str(out / "manifest.json") in caplog.text
+        manifest = run(cfg)
+        assert set(manifest["stages"]) == set(STAGES)
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+        run(variant(city, name + "_fresh"), force=True)
+        for stage in STAGES:
+            for rel in STAGE_OUTPUTS[stage]:
+                if not rel.startswith("factors/") and rel != "trace.csv":
+                    assert (out / rel).read_bytes() == \
+                        (city / (name + "_fresh") / rel).read_bytes(), rel
+
     def test_each_file_hashed_once_per_pipeline(self, city, monkeypatch):
         cfg = variant(city, "hashonce", method="crf", feature="latent_v")
         run(cfg)

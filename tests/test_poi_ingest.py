@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from zonefuse.errors import DataError
 from zonefuse.geo_grid import Box, decode, enumerate_cells
@@ -26,7 +25,7 @@ def grid():
 
 
 def make_poi_matrix(P_dense, categories=None):
-    P = sp.csr_array(np.asarray(P_dense, dtype=float))
+    P = np.asarray(P_dense, dtype=float)
     mask = np.asarray(P_dense).sum(axis=0) > 0
     names = categories or [f"cat{i}" for i in range(P.shape[0])]
     return PoiMatrix(P=P, mask=mask, categories=names)
@@ -106,7 +105,7 @@ class TestBuildPoiMatrix:
         records = [PoiRecord(c3.lat, c3.lon, 0), PoiRecord(c3.lat, c3.lon, 0)]
         poi = build_poi_matrix(records, grid, CategoryTable.default())
         assert poi.P.shape == (28, len(grid))
-        dense = poi.P.toarray()
+        dense = poi.P
         assert dense[0, 3] == 2
         assert dense.sum() == 2
         assert poi.mask[3]
@@ -115,7 +114,7 @@ class TestBuildPoiMatrix:
     def test_outside_grid_dropped(self, grid):
         poi = build_poi_matrix([PoiRecord(40.0, -78.64, 0)], grid,
                                CategoryTable.default())
-        assert poi.P.nnz == 0
+        assert np.count_nonzero(poi.P) == 0
         assert poi.dropped == 1
 
     def test_sparsity_and_observed_fraction(self, grid):
@@ -138,7 +137,7 @@ class TestBuildPoiMatrix:
         poi = build_poi_matrix(records, grid, CategoryTable.default())
         poi.save(tmp_path / "poi.coo", tmp_path / "poi.json")
         loaded = PoiMatrix.load(tmp_path / "poi.coo", tmp_path / "poi.json")
-        assert np.array_equal(loaded.P.toarray(), poi.P.toarray())
+        assert np.array_equal(loaded.P, poi.P)
         assert np.array_equal(loaded.mask, poi.mask)
         assert loaded.categories == poi.categories
         assert loaded.P.dtype == np.float64
@@ -148,9 +147,22 @@ class TestBuildPoiMatrix:
         poi.save(tmp_path / "poi.coo", tmp_path / "poi.json")
         assert (tmp_path / "poi.coo").read_bytes() == b""
         loaded = PoiMatrix.load(tmp_path / "poi.coo", tmp_path / "poi.json")
-        assert loaded.P.shape == (28, len(grid)) and loaded.P.nnz == 0
+        assert loaded.P.shape == (28, len(grid)) and np.count_nonzero(loaded.P) == 0
         assert loaded.P.dtype == np.float64
         assert not loaded.mask.any()
+
+
+class TestPoiMatrix:
+    def test_P_must_be_a_2d_array(self):
+        import scipy.sparse as sp
+        for P in (np.ones(3), [[1.0, 0.0, 2.0]], sp.csr_array(np.ones((1, 3)))):
+            with pytest.raises(ValueError, match="2-d array"):
+                PoiMatrix(P=P, mask=np.ones(3, dtype=bool), categories=["a"])
+
+    def test_P_is_held_as_float64(self):
+        poi = PoiMatrix(P=np.array([[1, 0, 2]]), mask=np.array([True, False, True]),
+                        categories=["a"])
+        assert poi.P.dtype == np.float64
 
 
 class TestObservationMatrix:

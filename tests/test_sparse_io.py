@@ -1,10 +1,13 @@
 """The text COO codec: bytes written and the round trip."""
 import io
+import json
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
-from zonefuse.sparse_io import load_coo, save_coo
+from zonefuse.poi_ingest import PoiMatrix
+from zonefuse.sparse_io import load_coo, read_coo, save_coo
 
 
 def savetxt_bytes(dense: np.ndarray) -> bytes:
@@ -30,3 +33,32 @@ class TestSaveCoo:
         path = tmp_path / "empty.coo"
         save_coo(path, sp.csr_array(dense))
         assert path.read_bytes() == savetxt_bytes(dense) == b""
+
+
+def poi_sidecar(path, shape):
+    path.write_text(json.dumps({"n_categories": shape[0], "r": shape[1],
+                                "categories": [f"c{i}" for i in range(shape[0])]}))
+    return path
+
+
+class TestReadCoo:
+    @pytest.mark.parametrize("line", ["-1 0 1\n", "0 -2 1\n", "4 0 1\n", "0 6 1\n"])
+    def test_index_outside_shape_raises(self, tmp_path, line):
+        # a dense assignment would wrap a negative index silently
+        path = tmp_path / "bad.coo"
+        path.write_text("0 0 1\n" + line)
+        with pytest.raises(ValueError, match="outside"):
+            read_coo(path, (4, 6))
+        with pytest.raises(ValueError, match="outside"):
+            load_coo(path, (4, 6))
+        with pytest.raises(ValueError, match="outside"):
+            PoiMatrix.load(path, poi_sidecar(tmp_path / "poi.json", (4, 6)))
+
+    def test_duplicate_triples_sum(self, tmp_path):
+        path = tmp_path / "dup.coo"
+        path.write_text("0 0 1\n1 2 3\n1 2 4\n")
+        expected = np.array([[1, 0, 0], [0, 0, 7]], dtype=np.float64)
+        assert np.array_equal(load_coo(path, (2, 3)).toarray(), expected)
+        poi = PoiMatrix.load(path, poi_sidecar(tmp_path / "poi.json", (2, 3)))
+        assert np.array_equal(poi.P, expected)
+        assert poi.mask.tolist() == [True, False, True]

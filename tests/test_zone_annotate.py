@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from zonefuse.poi_ingest import CategoryTable, PoiMatrix
 from zonefuse.zone_annotate import (
@@ -19,7 +18,7 @@ def poi_from_dense(P: np.ndarray) -> PoiMatrix:
     P = np.asarray(P, dtype=np.float64)
     mask = (P.sum(axis=0) > 0).astype(bool)
     names = [f"cat {i + 1}" for i in range(P.shape[0])]
-    return PoiMatrix(P=sp.csr_array(P), mask=mask, categories=names)
+    return PoiMatrix(P=P, mask=mask, categories=names)
 
 
 class TestZonePr:
