@@ -16,7 +16,6 @@ from .latent_fusion import Hyperparams
 from .poi_ingest import FEATURE_KINDS
 
 METHODS = ("kmeans", "crf")
-MASK_MODES = ("column", "elementwise")
 
 _PATH_KEYS = ("gps_path", "poi_path", "category_path", "out_dir")
 
@@ -50,7 +49,6 @@ class PipelineConfig:
     lambda5: float = 0.01
     epsilon: float = 1e-8
     max_iter: int = 2000
-    mask_mode: str = "column"
     # clustering and annotation
     method: str = "crf"
     feature: str = "latent_v"
@@ -71,8 +69,6 @@ class PipelineConfig:
             raise ConfigError(f"method {self.method!r} not in {METHODS}")
         if self.feature not in FEATURE_KINDS:
             raise ConfigError(f"feature {self.feature!r} not in {FEATURE_KINDS}")
-        if self.mask_mode not in MASK_MODES:
-            raise ConfigError(f"mask_mode {self.mask_mode!r} not in {MASK_MODES}")
         if self.zones < 1:
             raise ConfigError(f"zones {self.zones} must be >= 1")
         if self.beta < 0:

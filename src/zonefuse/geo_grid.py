@@ -91,24 +91,13 @@ def cell_spans(level: int) -> tuple[float, float]:
     return 180.0 / (1 << lat_bits), 360.0 / (1 << lon_bits)
 
 
-def _axis_index(value: float, lo: float, hi: float, bits: int) -> int:
-    # Bisection with >= keeps boundary points in the upper cell, so every
-    # cell is half-open lower-inclusive; the world edge clamps into the
-    # last cell because no midpoint exceeds it.
-    idx = 0
-    for _ in range(bits):
-        mid = (lo + hi) / 2.0
-        idx <<= 1
-        if value >= mid:
-            idx |= 1
-            lo = mid
-        else:
-            hi = mid
-    return idx
-
-
 def _axis_indices(values, lo: float, hi: float, bits: int) -> np.ndarray:
-    """_axis_index of each value in an array."""
+    """Lattice index along one axis of each value in an array.
+
+    Bisection with >= keeps boundary points in the upper cell, so every
+    cell is half-open lower-inclusive; the world edge clamps into the
+    last cell because no midpoint exceeds it.
+    """
     values = np.asarray(values, dtype=np.float64)
     idx = np.zeros(values.shape, dtype=np.int64)
     lo = np.full(values.shape, lo)
@@ -122,30 +111,27 @@ def _axis_indices(values, lo: float, hi: float, bits: int) -> np.ndarray:
     return idx
 
 
-def _cell_coords(p: GeoPoint, level: int) -> tuple[int, int]:
-    """Integer (row, col) of the cell containing p at a level."""
+def _cell_coords(lat, lon, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (row, col) arrays of the cells holding each point at a level."""
     lat_bits, lon_bits = _bit_split(level)
-    return (_axis_index(p.lat, -90.0, 90.0, lat_bits),
-            _axis_index(p.lon, -180.0, 180.0, lon_bits))
+    return (_axis_indices(lat, -90.0, 90.0, lat_bits),
+            _axis_indices(lon, -180.0, 180.0, lon_bits))
 
 
-def _coords_to_code(lat_idx: int, lon_idx: int, level: int) -> str:
+def _codes(rows: np.ndarray, cols: np.ndarray, level: int) -> list[str]:
+    """Geohash codes of the lattice cells (rows[i], cols[i]) at a level.
+
+    The bits interleave starting with longitude; 5 * 12 = 60 bits fit an
+    int64.
+    """
     lat_bits, lon_bits = _bit_split(level)
-    bits = 0
-    li, gi = lat_bits - 1, lon_bits - 1
+    bits = np.zeros(len(rows), dtype=np.int64)
     for i in range(5 * level):
-        bits <<= 1
-        if i % 2 == 0:
-            bits |= (lon_idx >> gi) & 1
-            gi -= 1
-        else:
-            bits |= (lat_idx >> li) & 1
-            li -= 1
-    chars = []
-    for i in range(level):
-        shift = 5 * (level - 1 - i)
-        chars.append(_BASE32[(bits >> shift) & 0x1F])
-    return "".join(chars)
+        axis, n_bits = (cols, lon_bits) if i % 2 == 0 else (rows, lat_bits)
+        bits = (bits << 1) | ((axis >> (n_bits - 1 - i // 2)) & 1)
+    digits = (bits[:, None] >> (5 * np.arange(level - 1, -1, -1))) & 0x1F
+    chars = np.frombuffer(_BASE32.encode(), dtype=np.uint8)[digits]
+    return chars.view(f"S{level}").ravel().astype(f"U{level}").tolist()
 
 
 def _code_to_coords(code: str) -> tuple[int, int]:
@@ -184,8 +170,8 @@ def encode(p: GeoPoint, level: int) -> CellId:
     """
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise ValueError(f"level {level} outside [{MIN_LEVEL}, {MAX_LEVEL}]")
-    lat_idx, lon_idx = _cell_coords(p, level)
-    return CellId(_coords_to_code(lat_idx, lon_idx, level), level)
+    rows, cols = _cell_coords([p.lat], [p.lon], level)
+    return CellId(_codes(rows, cols, level)[0], level)
 
 
 def decode(cell: CellId | str) -> Box:
@@ -228,8 +214,26 @@ class GridIndex:
     index: dict[CellId, int] = field(init=False)
 
     def __post_init__(self):
-        self.cells = _rectangle_cells(self.level, self.origin, self.shape)
+        codes = _codes(*self._coords(), self.level)
+        self.cells = [CellId(code, self.level) for code in codes]
         self.index = {c: i for i, c in enumerate(self.cells)}
+
+    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice (row, col) of every cell, row-major."""
+        rows, cols = np.indices(self.shape, dtype=np.int64).reshape(2, -1)
+        return rows + self.origin[0], cols + self.origin[1]
+
+    def boxes(self) -> np.ndarray:
+        """(n, 4) min_lat, min_lon, max_lat, max_lon of every cell, row-major.
+
+        The float operations are those of `decode`, so each value equals
+        the one `decode` gives for that cell.
+        """
+        lat_span, lon_span = cell_spans(self.level)
+        rows, cols = self._coords()
+        min_lat = -90.0 + rows * lat_span
+        min_lon = -180.0 + cols * lon_span
+        return np.column_stack([min_lat, min_lon, min_lat + lat_span, min_lon + lon_span])
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -255,9 +259,8 @@ class GridIndex:
                                & (lon >= -180.0) & (lon <= 180.0)))
         if bad.size:
             GeoPoint(float(lat[bad[0]]), float(lon[bad[0]]))  # raises, naming it
-        lat_bits, lon_bits = _bit_split(self.level)
-        row = _axis_indices(lat, -90.0, 90.0, lat_bits) - self.origin[0]
-        col = _axis_indices(lon, -180.0, 180.0, lon_bits) - self.origin[1]
+        row, col = _cell_coords(lat, lon, self.level)
+        row, col = row - self.origin[0], col - self.origin[1]
         n_rows, n_cols = self.shape
         inside = (row >= 0) & (row < n_rows) & (col >= 0) & (col < n_cols)
         return np.where(inside, row * n_cols + col, -1)
@@ -266,10 +269,8 @@ class GridIndex:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["column_index", "geohash", "min_lat", "min_lon", "max_lat", "max_lon"])
-            for i, cell in enumerate(self.cells):
-                box = decode(cell)
-                w.writerow([i, cell.code, repr(box.min_lat), repr(box.min_lon),
-                            repr(box.max_lat), repr(box.max_lon)])
+            for i, (cell, box) in enumerate(zip(self.cells, self.boxes().tolist())):
+                w.writerow([i, cell.code, *map(repr, box)])
 
     @classmethod
     def from_csv(cls, path) -> "GridIndex":
@@ -303,16 +304,6 @@ class GridIndex:
         return grid
 
 
-def _rectangle_cells(level: int, origin: tuple[int, int],
-                     shape: tuple[int, int]) -> list[CellId]:
-    """The cells of a lattice rectangle, row-major from its south-west cell."""
-    row0, col0 = origin
-    n_rows, n_cols = shape
-    return [CellId(_coords_to_code(lat_idx, lon_idx, level), level)
-            for lat_idx in range(row0, row0 + n_rows)
-            for lon_idx in range(col0, col0 + n_cols)]
-
-
 def enumerate_cells(bbox: Box, level: int) -> GridIndex:
     """Enumerate all cells overlapping a bounding box, row-major.
 
@@ -333,8 +324,8 @@ def enumerate_cells(bbox: Box, level: int) -> GridIndex:
         raise ValueError("empty bounding box")
     sw = GeoPoint(bbox.min_lat, bbox.min_lon)
     ne = GeoPoint(bbox.max_lat, bbox.max_lon)
-    lat_lo, lon_lo = _cell_coords(sw, level)
-    lat_hi, lon_hi = _cell_coords(ne, level)
+    rows, cols = _cell_coords([sw.lat, ne.lat], [sw.lon, ne.lon], level)
+    (lat_lo, lat_hi), (lon_lo, lon_hi) = rows.tolist(), cols.tolist()
     lat_span, lon_span = cell_spans(level)
     # Midpoints in the bisection are exact dyadic multiples of the cell
     # span, so an upper bbox edge flush with a cell boundary compares

@@ -72,13 +72,17 @@ class LatentFactors:
     W: np.ndarray  # k x k
 
     def save(self, directory) -> None:
-        """Write each block as little-endian float64 row-major binary."""
+        """Write each block that is not None as little-endian float64
+        row-major binary; shapes.json lists the blocks written."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         shapes = {}
         for name in FACTOR_NAMES:
+            block = getattr(self, name)
+            if block is None:
+                continue
             # tofile writes C order from any layout, without a contiguous copy
-            arr = np.asarray(getattr(self, name), dtype="<f8")
+            arr = np.asarray(block, dtype="<f8")
             arr.tofile(d / f"{name}.bin")
             shapes[name] = list(arr.shape)
         manifest = {"dtype": "float64", "byteorder": "little", "order": "C",
@@ -88,13 +92,14 @@ class LatentFactors:
             fh.write("\n")
 
     @classmethod
-    def load(cls, directory, names=FACTOR_NAMES) -> "LatentFactors":
-        """Read the blocks in `names`; the others are None."""
+    def load(cls, directory, names=None) -> "LatentFactors":
+        """Read the blocks in `names`, by default every block written;
+        the others are None."""
         d = Path(directory)
         with open(d / "shapes.json") as fh:
             manifest = json.load(fh)
         blocks = dict.fromkeys(FACTOR_NAMES)
-        for name in names:
+        for name in manifest["shapes"] if names is None else names:
             shape = tuple(manifest["shapes"][name])
             arr = np.fromfile(d / f"{name}.bin", dtype="<f8")
             if arr.size != int(np.prod(shape)):

@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .activity_ingest import (HapMatrix, build_hap_matrix, detect_activities,
                               parse_gps, to_activity_infos)
 from .config import PipelineConfig
 from .errors import DataError
-from .geo_grid import Box, GridIndex, decode, enumerate_cells
+from .geo_grid import Box, GridIndex, enumerate_cells
 from .latent_fusion import Hyperparams, LatentFactors, fit
 from .poi_ingest import (CategoryTable, FeatureMatrix, PoiMatrix,
                          build_poi_matrix, parse_pois, raw_poi_features,
@@ -60,11 +60,11 @@ STAGE_IO = {
     "ingest-gps": StageIO(("stay_distance_m", "stay_duration_s", "timezone",
                            "weekdays_only"), ("cells.csv", "gps_path"), _HAP),
     "ingest-poi": StageIO((), ("cells.csv", "poi_path", "category_path"), _POI),
-    "fit": StageIO((*(f.name for f in fields(Hyperparams)), "mask_mode"),
-                   _POI + _HAP,
-                   ("factors/U.bin", "factors/V.bin", "factors/Q.bin",
-                    "factors/Z.bin", "factors/A.bin", "factors/W.bin",
-                    "factors/shapes.json", "trace.csv")),
+    # Q (k x 48r) is not saved: no stage reads it
+    "fit": StageIO(tuple(f.name for f in fields(Hyperparams)), _POI + _HAP,
+                   ("factors/U.bin", "factors/V.bin", "factors/Z.bin",
+                    "factors/A.bin", "factors/W.bin", "factors/shapes.json",
+                    "trace.csv")),
     # plus the files of its feature and the outputs of its method, below
     "cluster": StageIO(("method", "feature", "zones", "beta", "svd_t", "seed"),
                        ("cells.csv",), ("labels.csv", "zones.geojson")),
@@ -109,12 +109,10 @@ def export_geojson(labels, grid: GridIndex, palette=DEFAULT_PALETTE,
     if len(labels) != len(grid):
         raise ValueError(f"{len(labels)} labels for {len(grid)} regions")
     features = []
-    for i, cell in enumerate(grid.cells):
-        box = decode(cell)
-        ring = [[box.min_lon, box.min_lat], [box.max_lon, box.min_lat],
-                [box.max_lon, box.max_lat], [box.min_lon, box.max_lat],
-                [box.min_lon, box.min_lat]]
-        label = int(labels[i])
+    for cell, label, (lat0, lon0, lat1, lon1) in zip(grid.cells, labels.tolist(),
+                                                      grid.boxes().tolist()):
+        ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
+        label = int(label)
         features.append({
             "type": "Feature",
             "geometry": {"type": "Polygon", "coordinates": [ring]},
@@ -298,9 +296,11 @@ class Pipeline:
     def _stage_fit(self) -> dict:
         poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
         hap = HapMatrix.load(self.out / "hap.coo", self.out / "hap.json")
-        I = poi.observation_matrix(self.cfg.mask_mode)
-        factors, trace = fit(poi.P, I, hap.data, self.cfg.hyperparams())
-        factors.save(self.out / "factors")
+        factors, trace = fit(poi.P, poi.observation_matrix(), hap.data,
+                             self.cfg.hyperparams())
+        replace(factors, Q=None).save(self.out / "factors")
+        # left by an older version; nothing would track it now
+        (self.out / "factors" / "Q.bin").unlink(missing_ok=True)
         trace.to_csv(self.out / "trace.csv")
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
@@ -323,6 +323,9 @@ class Pipeline:
         cfg = self.cfg
         grid = self._grid("cluster")
         F = self._features()
+        if F.r != len(grid):
+            raise DataError(f"the {cfg.feature} feature has {F.r} regions but "
+                            f"cells.csv has {len(grid)}; rerun the earlier stages")
         notes = {"method": cfg.method, "feature": cfg.feature, "zones": cfg.zones}
         if cfg.method == "crf":
             model = crf_fit(F, lattice_adjacency(*grid.shape), c=cfg.zones,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .geo_grid import Box, GridIndex, cell_spans, decode, enumerate_cells
+from .geo_grid import Box, GridIndex, cell_spans, enumerate_cells
 from .poi_ingest import DEFAULT_CATEGORIES
 from .zone_cluster import save_labels
 
@@ -156,14 +156,8 @@ def city_grid(spec: SynthCitySpec) -> GridIndex:
 
 def _cell_frames(grid: GridIndex) -> np.ndarray:
     """Per-cell (center_lat, center_lon, usable half spans in degrees)."""
-    out = np.empty((len(grid), 4))
-    for i, cell in enumerate(grid.cells):
-        box = decode(cell)
-        out[i, 0] = (box.min_lat + box.max_lat) / 2.0
-        out[i, 1] = (box.min_lon + box.max_lon) / 2.0
-        out[i, 2] = (box.max_lat - box.min_lat) * (0.5 - CELL_MARGIN)
-        out[i, 3] = (box.max_lon - box.min_lon) * (0.5 - CELL_MARGIN)
-    return out
+    lo, hi = np.hsplit(grid.boxes(), 2)  # (min_lat, min_lon), (max_lat, max_lon)
+    return np.hstack([(lo + hi) / 2.0, (hi - lo) * (0.5 - CELL_MARGIN)])
 
 
 def _meters_to_deg(m_lat: float, m_lon: float, at_lat: float) -> tuple[float, float]:

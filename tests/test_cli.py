@@ -118,6 +118,22 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,feature", [("crf", "latent_v"),
+                                                ("kmeans", "raw_poi")])
+    def test_cluster_on_another_grid_exits_three(self, city, tmp_path, capsys,
+                                                 method, feature):
+        base = ["--config", str(city / "config.txt"), "--out-dir", str(tmp_path / "g"),
+                "--set", "max_iter=20", "--set", "k=4",
+                "--set", f"method={method}", "--set", f"feature={feature}"]
+        assert main(["run"] + base) == 0
+        labels = (tmp_path / "g" / "labels.csv").read_bytes()
+        assert main(["segment"] + base + ["--set", "level=5"]) == 0
+        capsys.readouterr()
+        assert main(["cluster"] + base + ["--set", "level=5"]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "cells.csv" in err and feature in err
+        assert (tmp_path / "g" / "labels.csv").read_bytes() == labels
+
     def test_divergent_solver_exits_four(self, city, tmp_path, capsys,
                                          monkeypatch):
         def diverge(*args, **kwargs):

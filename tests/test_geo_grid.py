@@ -250,6 +250,24 @@ class TestEnumerateCells:
         assert cols.tolist() == [-1 if c is None else c for c in expected]
         assert (cols >= 0).any() and (cols == -1).any()
 
+    @pytest.mark.parametrize("bbox, level", [
+        (Box(35.7, -78.7, 35.8, -78.6), 6),
+        (Box(-33.95, 151.1, -33.8, 151.3), 5),
+        # flush with the north-east corner of the world
+        (Box(78.75, 168.75, 90.0, 180.0), 3),
+        # level 12: 60 code bits
+        (Box(57.64911, 10.40744, 57.649112, 10.407442), 12),
+    ])
+    def test_codes_and_boxes_match_oracle_and_decode(self, bbox, level):
+        grid = enumerate_cells(bbox, level)
+        boxes = grid.boxes()
+        assert boxes.shape == (len(grid), 4) and boxes.dtype == np.float64
+        for cell, row in zip(grid.cells, boxes.tolist()):
+            b = decode(cell)
+            assert row == [b.min_lat, b.min_lon, b.max_lat, b.max_lon]
+            center = b.center()
+            assert cell.code == oracle_encode(center.lat, center.lon, level)
+
     def test_columns_of_points_reject_invalid_points(self):
         grid = enumerate_cells(Box(35.7, -78.7, 35.8, -78.6), 6)
         for lat, lon in ((float("nan"), -78.65), (35.75, float("inf")), (90.5, 0.0)):

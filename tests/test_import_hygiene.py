@@ -1,6 +1,8 @@
-"""Which verbs load scipy: only the stages that build or factor a sparse
-matrix may.  Each check runs in a fresh interpreter, so the imports of
-the test process itself do not count."""
+"""What a fresh interpreter imports.  Only the stages that build or factor
+a sparse matrix may load scipy, and `import zonefuse.cli` loads no numpy,
+so `--threads` can still pin the BLAS pools when the CLI reads it.  Each
+check runs in a fresh interpreter, so the imports of the test process
+itself do not count."""
 import json
 import os
 import subprocess
@@ -19,7 +21,7 @@ SRC = Path(zonefuse.__file__).resolve().parents[1]
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == {package!r})))
 """
 
 CLI = """
@@ -29,11 +31,12 @@ if main(sys.argv[1:]) != 0:
 """
 
 
-def scipy_modules(body: str, *args: str) -> list[str]:
-    """The scipy modules loaded after body runs in a new interpreter."""
+def loaded(package: str, body: str, *args: str) -> list[str]:
+    """The modules of a package loaded after body runs in a new interpreter."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", PROBE.format(body=body), *args],
+    probe = PROBE.format(body=body, package=package)
+    done = subprocess.run([sys.executable, "-c", probe, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -53,11 +56,16 @@ def primed(tmp_path_factory):
 
 
 def verb(primed, *args: str) -> list[str]:
-    return scipy_modules(CLI, *args, "--config", str(primed / "config.txt"))
+    return loaded("scipy", CLI, *args, "--config", str(primed / "config.txt"))
 
 
 def test_importing_the_pipeline_loads_no_scipy():
-    assert scipy_modules("import zonefuse.pipeline") == []
+    assert loaded("scipy", "import zonefuse.pipeline") == []
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # the BLAS thread variables --threads sets are read when numpy loads
+    assert loaded("numpy", "import zonefuse.cli") == []
 
 
 def test_status_loads_no_scipy(primed):

@@ -11,7 +11,7 @@ import zonefuse.pipeline
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import DataError
 from zonefuse.geo_grid import GridIndex, decode
-from zonefuse.latent_fusion import TERM_NAMES
+from zonefuse.latent_fusion import TERM_NAMES, LatentFactors
 from zonefuse.pipeline import (STAGE_IO, STAGE_OUTPUTS, STAGES, Pipeline,
                                export_geojson, file_sha256, run)
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
@@ -302,6 +302,19 @@ class TestStageCache:
                     assert (out / rel).read_bytes() == \
                         (city / (name + "_fresh") / rel).read_bytes(), rel
 
+    def test_fit_entry_recording_mask_mode_is_fresh(self, city):
+        # an output directory built when fit still read a mask_mode key
+        cfg = variant(city, "maskmode", method="crf", feature="latent_v")
+        run(cfg)
+        path = city / "maskmode" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["stages"]["fit"]["inputs"]["mask_mode"] = "column"
+        path.write_text(json.dumps(manifest))
+        assert Pipeline(cfg).status()["fit"] is None
+        before = json.loads(path.read_text())["stages"]
+        run(cfg)
+        assert json.loads(path.read_text())["stages"] == before
+
     def test_each_file_hashed_once_per_pipeline(self, city, monkeypatch):
         cfg = variant(city, "hashonce", method="crf", feature="latent_v")
         run(cfg)
@@ -327,9 +340,38 @@ class TestFeatureAndMethodVariants:
         pipe = Pipeline(cfg)
         pipe.run()
         labels = (city / "onlyv" / "labels.csv").read_bytes()
-        (city / "onlyv" / "factors" / "Q.bin").unlink()
+        (city / "onlyv" / "factors" / "U.bin").unlink()
         pipe.run_stage("cluster", force=True)
         assert (city / "onlyv" / "labels.csv").read_bytes() == labels
+
+    def test_fit_writes_no_Q_block(self, city):
+        cfg = variant(city, "noq", method="crf", feature="latent_v")
+        run(cfg)
+        factors = city / "noq" / "factors"
+        assert not (factors / "Q.bin").exists()
+        shapes = json.loads((factors / "shapes.json").read_text())["shapes"]
+        assert sorted(shapes) == ["A", "U", "V", "W", "Z"]
+        V = LatentFactors.load(factors, ("V",)).V
+        assert V.shape == (4, 64)
+        loaded = LatentFactors.load(factors)
+        assert loaded.Q is None and np.array_equal(loaded.V, V)
+        # a Q.bin left by an older version goes at the next fit
+        (factors / "Q.bin").write_bytes(b"")
+        Pipeline(cfg).run_stage("fit", force=True)
+        assert not (factors / "Q.bin").exists()
+
+    @pytest.mark.parametrize("method,feature", [("crf", "latent_v"),
+                                                ("kmeans", "raw_poi")])
+    def test_cluster_rejects_features_of_another_grid(self, city, method, feature):
+        name = f"regrid_{method}"
+        run(variant(city, name, method=method, feature=feature))
+        labels = (city / name / "labels.csv").read_bytes()
+        pipe = Pipeline(variant(city, name, method=method, feature=feature, level="5"))
+        pipe.run_stage("segment")
+        with pytest.raises(DataError, match=f"{feature} feature has 64 regions "
+                                            "but cells.csv has .*earlier stages"):
+            pipe.run_stage("cluster")
+        assert (city / name / "labels.csv").read_bytes() == labels
 
     def test_tfidf_kmeans(self, city):
         cfg = variant(city, "tfidf", feature="tfidf")

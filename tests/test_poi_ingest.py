@@ -168,20 +168,8 @@ class TestPoiMatrix:
 class TestObservationMatrix:
     def test_column_mode_includes_zeros_of_observed_regions(self):
         poi = make_poi_matrix([[2, 0, 0], [0, 0, 0]])
-        I = poi.observation_matrix("column")
+        I = poi.observation_matrix()
         assert np.array_equal(I, [[1, 0, 0], [1, 0, 0]])
-
-    def test_elementwise_mode_marks_nonzeros_only(self):
-        poi = make_poi_matrix([[2, 0, 0], [1, 0, 0]])
-        I = poi.observation_matrix("elementwise")
-        assert np.array_equal(I, [[1, 0, 0], [1, 0, 0]])
-        poi2 = make_poi_matrix([[2, 0, 0], [0, 0, 0]])
-        assert np.array_equal(poi2.observation_matrix("elementwise"),
-                              [[1, 0, 0], [0, 0, 0]])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            make_poi_matrix([[1]]).observation_matrix("diagonal")
 
 
 def oracle_tfidf(P):
