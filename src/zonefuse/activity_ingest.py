@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from itertools import chain, compress, islice, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -439,9 +439,9 @@ class HapMatrix:
 
     data: sp.csr_array
     r: int
-    s: int = HOURS_PER_DAY
-    kinds: tuple[str, str] = KINDS
     tz: str = "UTC"
+    s: ClassVar[int] = HOURS_PER_DAY
+    kinds: ClassVar[tuple[str, str]] = KINDS
 
     @property
     def q(self) -> int:
@@ -471,9 +471,12 @@ class HapMatrix:
     def load(cls, coo_path, sidecar_path) -> "HapMatrix":
         with open(sidecar_path) as fh:
             meta = json.load(fh)
+        if meta["s"] != cls.s or tuple(meta["kinds"]) != cls.kinds:
+            raise ValueError(f"{sidecar_path}: layout s={meta['s']}, kinds="
+                             f"{meta['kinds']} differs from s={cls.s}, "
+                             f"kinds={list(cls.kinds)}")
         data = load_coo(coo_path, (meta["q"], meta["r"]))
-        return cls(data=data, r=meta["r"], s=meta["s"], kinds=tuple(meta["kinds"]),
-                   tz=meta["timezone"])
+        return cls(data=data, r=meta["r"], tz=meta["timezone"])
 
 
 def build_hap_matrix(trips: np.ndarray, r: int, tz: str = "UTC") -> HapMatrix:
@@ -501,4 +504,4 @@ def build_hap_matrix(trips: np.ndarray, r: int, tz: str = "UTC") -> HapMatrix:
     # takes to run, and only the stages that build or read T need it
     import scipy.sparse as sp
     data = sp.coo_array((np.ones(len(t)), (rows, dest)), shape=(2 * s * r, r))
-    return HapMatrix(data=sp.csr_array(data), r=r, s=s, tz=tz)
+    return HapMatrix(data=sp.csr_array(data), r=r, tz=tz)

@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .activity_ingest import DEFAULT_STAY_DISTANCE_M, DEFAULT_STAY_DURATION_S
 from .errors import ConfigError
 from .latent_fusion import Hyperparams
 from .poi_ingest import FEATURE_KINDS
@@ -20,9 +21,10 @@ METHODS = ("kmeans", "crf")
 _PATH_KEYS = ("gps_path", "poi_path", "category_path", "out_dir")
 
 
-@dataclass
-class PipelineConfig:
-    """Validated settings for every pipeline stage."""
+@dataclass(kw_only=True)
+class PipelineConfig(Hyperparams):
+    """Validated settings for every pipeline stage; the factorization
+    settings are the fields of Hyperparams."""
 
     # study area and grid
     min_lat: float
@@ -32,31 +34,20 @@ class PipelineConfig:
     out_dir: str
     level: int = 6
     # stay detection
-    stay_distance_m: float = 200.0
-    stay_duration_s: float = 1200.0
+    stay_distance_m: float = DEFAULT_STAY_DISTANCE_M
+    stay_duration_s: float = DEFAULT_STAY_DURATION_S
     timezone: str = "UTC"
     weekdays_only: bool = False
     # inputs
     gps_path: str = "gps.csv"
     poi_path: str = "pois.csv"
     category_path: str = ""
-    # factorization
-    k: int = 10
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 0.1
-    lambda4: float = 1.0
-    lambda5: float = 0.01
-    epsilon: float = 1e-8
-    max_iter: int = 2000
     # clustering and annotation
     method: str = "crf"
     feature: str = "latent_v"
     zones: int = 4
     beta: float = 1.0
     svd_t: int = 10
-    # shared
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
@@ -78,7 +69,7 @@ class PipelineConfig:
         if not self.out_dir:
             raise ConfigError("out_dir is required")
         try:
-            self.hyperparams()
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -94,20 +94,17 @@ def cell_spans(level: int) -> tuple[float, float]:
 def _axis_indices(values, lo: float, hi: float, bits: int) -> np.ndarray:
     """Lattice index along one axis of each value in an array.
 
-    Bisection with >= keeps boundary points in the upper cell, so every
-    cell is half-open lower-inclusive; the world edge clamps into the
-    last cell because no midpoint exceeds it.
+    Every cell is half-open lower-inclusive, so a point on a cell edge
+    belongs to the upper cell; the world edge clamps into the last cell.
     """
     values = np.asarray(values, dtype=np.float64)
-    idx = np.zeros(values.shape, dtype=np.int64)
-    lo = np.full(values.shape, lo)
-    hi = np.full(values.shape, hi)
-    for _ in range(bits):
-        mid = (lo + hi) / 2.0
-        upper = values >= mid
-        idx = (idx << 1) | upper
-        lo = np.where(upper, mid, lo)
-        hi = np.where(upper, hi, mid)
+    n = 1 << bits
+    span = (hi - lo) / n
+    idx = np.clip(np.floor((values - lo) / span), 0, n - 1).astype(np.int64)
+    # the quotient can round across an edge by one cell; the edges
+    # lo + i * span are exact in float64, so comparing with them settles it
+    idx -= values < lo + idx * span
+    idx += (idx < n - 1) & (values >= lo + (idx + 1) * span)
     return idx
 
 
@@ -121,15 +118,14 @@ def _cell_coords(lat, lon, level: int) -> tuple[np.ndarray, np.ndarray]:
 def _codes(rows: np.ndarray, cols: np.ndarray, level: int) -> list[str]:
     """Geohash codes of the lattice cells (rows[i], cols[i]) at a level.
 
-    The bits interleave starting with longitude; 5 * 12 = 60 bits fit an
-    int64.
+    The bits interleave starting with longitude: one row of code bits per
+    cell, longitude bits in the even columns, each five read as a digit.
     """
     lat_bits, lon_bits = _bit_split(level)
-    bits = np.zeros(len(rows), dtype=np.int64)
-    for i in range(5 * level):
-        axis, n_bits = (cols, lon_bits) if i % 2 == 0 else (rows, lat_bits)
-        bits = (bits << 1) | ((axis >> (n_bits - 1 - i // 2)) & 1)
-    digits = (bits[:, None] >> (5 * np.arange(level - 1, -1, -1))) & 0x1F
+    bits = np.empty((len(rows), 5 * level), dtype=np.int64)
+    bits[:, 0::2] = (cols[:, None] >> np.arange(lon_bits - 1, -1, -1)) & 1
+    bits[:, 1::2] = (rows[:, None] >> np.arange(lat_bits - 1, -1, -1)) & 1
+    digits = bits.reshape(-1, level, 5) @ np.array([16, 8, 4, 2, 1])
     chars = np.frombuffer(_BASE32.encode(), dtype=np.uint8)[digits]
     return chars.view(f"S{level}").ravel().astype(f"U{level}").tolist()
 
@@ -248,9 +244,9 @@ class GridIndex:
     def columns_of_points(self, lat, lon) -> np.ndarray:
         """Column of the cell holding each point, or -1 outside the grid.
 
-        Cells are located by the bisection of `_cell_coords`, so cell
-        edges and the world edge fall as they do for `encode`.  Raises
-        ValueError when a pair is not a valid GeoPoint.
+        Cells are located by `_cell_coords`, so cell edges and the world
+        edge fall as they do for `encode`.  Raises ValueError when a pair
+        is not a valid GeoPoint.
         """
         lat = np.asarray(lat, dtype=np.float64)
         lon = np.asarray(lon, dtype=np.float64)
@@ -327,9 +323,9 @@ def enumerate_cells(bbox: Box, level: int) -> GridIndex:
     rows, cols = _cell_coords([sw.lat, ne.lat], [sw.lon, ne.lon], level)
     (lat_lo, lat_hi), (lon_lo, lon_hi) = rows.tolist(), cols.tolist()
     lat_span, lon_span = cell_spans(level)
-    # Midpoints in the bisection are exact dyadic multiples of the cell
-    # span, so an upper bbox edge flush with a cell boundary compares
-    # equal here and that zero-overlap cell is dropped.
+    # Cell edges are exact multiples of the cell span, so an upper bbox
+    # edge flush with a cell boundary compares equal here and that
+    # zero-overlap cell is dropped.
     if lat_hi > lat_lo and -90.0 + lat_hi * lat_span >= ne.lat:
         lat_hi -= 1
     if lon_hi > lon_lo and -180.0 + lon_hi * lon_span >= ne.lon:

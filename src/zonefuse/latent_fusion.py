@@ -325,10 +325,12 @@ def fit(P, I, T, h: Hyperparams,
         init: LatentFactors | None = None) -> tuple[LatentFactors, FitTrace]:
     """Run block coordinate descent until the objective stalls.
 
-    Stops when a sweep lowers the objective by at most epsilon, or with a
-    warning after max_iter sweeps.  A non-finite objective raises
-    DivergenceError.  The trace records the initial objective at
-    iteration 0 and one row per sweep.  `init` is not modified.
+    Stops when a sweep lowers the objective f by at most
+    epsilon * max(|f|, 1), f taken before the sweep, or with a warning
+    after max_iter sweeps; the floor of 1 lets an objective that falls to
+    0 stop too.  A non-finite objective raises DivergenceError.  The trace
+    records the initial objective at iteration 0 and one row per sweep.
+    `init` is not modified.
     """
     P = np.asarray(P, dtype=np.float64)
     I = np.asarray(I, dtype=np.float64)
@@ -356,7 +358,7 @@ def fit(P, I, T, h: Hyperparams,
         trace.append(it, total, terms)
         trace.relative_decrease = (prev - total) / abs(prev) if prev else 0.0
         # An increase (rounding at a fixed point) is not convergence.
-        if 0.0 <= prev - total <= h.epsilon:
+        if 0.0 <= prev - total <= h.epsilon * max(abs(prev), 1.0):
             trace.stop_reason = "converged"
             break
         prev = total

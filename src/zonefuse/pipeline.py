@@ -24,7 +24,7 @@ import numpy as np
 from .activity_ingest import (HapMatrix, build_hap_matrix, detect_activities,
                               parse_gps, to_activity_infos)
 from .config import PipelineConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geo_grid import Box, GridIndex, enumerate_cells
 from .latent_fusion import Hyperparams, LatentFactors, fit
 from .poi_ingest import (CategoryTable, FeatureMatrix, PoiMatrix,
@@ -68,14 +68,13 @@ STAGE_IO = {
     # plus the files of its feature and the outputs of its method, below
     "cluster": StageIO(("method", "feature", "zones", "beta", "svd_t", "seed"),
                        ("cells.csv",), ("labels.csv", "zones.geojson")),
-    "annotate": StageIO((), ("cells.csv", "labels.csv", *_POI, "category_path"),
+    "annotate": StageIO((), ("cells.csv", "labels.csv", *_POI),
                         ("report.csv", "report.txt")),
 }  # in run order
 
 CLUSTER_FEATURE_FILES = {
     "raw_poi": _POI, "tfidf": _POI, "svd_poi": _POI,
     "latent_v": ("factors/shapes.json", "factors/V.bin"),
-    "latent_z": ("factors/shapes.json", "factors/Z.bin"),
 }
 CLUSTER_METHOD_OUTPUTS = {"kmeans": (), "crf": ("model.json",)}
 
@@ -83,7 +82,7 @@ STAGES = tuple(STAGE_IO)
 # per-stage output artifacts, relative to the run directory
 STAGE_OUTPUTS = {stage: io.outputs for stage, io in STAGE_IO.items()}
 
-DEFAULT_PALETTE = (
+PALETTE = (
     "#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#eeca3b",
     "#b279a2", "#ff9da6", "#9d755d", "#bab0ac",
 )
@@ -97,8 +96,7 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def export_geojson(labels, grid: GridIndex, palette=DEFAULT_PALETTE,
-                   path=None) -> dict:
+def export_geojson(labels, grid: GridIndex, path=None) -> dict:
     """One closed-rectangle polygon feature per region, colored by label.
 
     Coordinates are lon-lat rings tracing each cell box counterclockwise,
@@ -117,7 +115,7 @@ def export_geojson(labels, grid: GridIndex, palette=DEFAULT_PALETTE,
             "type": "Feature",
             "geometry": {"type": "Polygon", "coordinates": [ring]},
             "properties": {"geohash": cell.code, "label": label,
-                           "color": palette[label % len(palette)]},
+                           "color": PALETTE[label % len(PALETTE)]},
         })
     collection = {"type": "FeatureCollection", "features": features}
     if path is not None:
@@ -244,11 +242,6 @@ class Pipeline:
             self._kept_grid = GridIndex.from_csv(self.out / "cells.csv")
         return self._kept_grid
 
-    def _categories(self) -> CategoryTable:
-        if self.cfg.category_path:
-            return CategoryTable.from_csv(self.cfg.category_path)
-        return CategoryTable.default()
-
     # --- stages ---------------------------------------------------------
 
     def _stage_segment(self) -> dict:
@@ -284,7 +277,8 @@ class Pipeline:
 
     def _stage_ingest_poi(self) -> dict:
         grid = self._grid("ingest-poi")
-        categories = self._categories()
+        categories = (CategoryTable.from_csv(self.cfg.category_path)
+                      if self.cfg.category_path else CategoryTable.default())
         records, rejects = parse_pois(self.cfg.poi_path, categories)
         poi = build_poi_matrix(records, grid, categories)
         poi.save(self.out / "poi.coo", self.out / "poi.json")
@@ -308,15 +302,18 @@ class Pipeline:
 
     def _features(self) -> FeatureMatrix:
         kind = self.cfg.feature
-        block = {"latent_v": "V", "latent_z": "Z"}.get(kind)
-        if block is not None:
-            factors = LatentFactors.load(self.out / "factors", (block,))
-            return FeatureMatrix(F=getattr(factors, block), kind=kind)
+        if kind == "latent_v":
+            factors = LatentFactors.load(self.out / "factors", ("V",))
+            return FeatureMatrix(F=factors.V, kind=kind)
         poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
         if kind == "raw_poi":
             return raw_poi_features(poi)
         if kind == "tfidf":
             return tfidf_transform(poi)
+        rank = min(poi.n_categories, poi.r)
+        if self.cfg.svd_t > rank:
+            raise ConfigError(f"svd_t {self.cfg.svd_t} outside [1, {rank}]: "
+                              f"{poi.n_categories} categories, {poi.r} regions")
         return svd_features(tfidf_transform(poi), self.cfg.svd_t)
 
     def _stage_cluster(self) -> dict:
@@ -326,6 +323,9 @@ class Pipeline:
         if F.r != len(grid):
             raise DataError(f"the {cfg.feature} feature has {F.r} regions but "
                             f"cells.csv has {len(grid)}; rerun the earlier stages")
+        if cfg.zones > F.r:
+            raise ConfigError(f"zones {cfg.zones} outside [1, {F.r}]: "
+                              f"the grid has {F.r} regions")
         notes = {"method": cfg.method, "feature": cfg.feature, "zones": cfg.zones}
         if cfg.method == "crf":
             model = crf_fit(F, lattice_adjacency(*grid.shape), c=cfg.zones,
@@ -347,7 +347,7 @@ class Pipeline:
             raise DataError("labels.csv does not match the current grid")
         poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
         profiles = build_profiles(labels, poi)
-        rows = ranked_report(profiles, self._categories())
+        rows = ranked_report(profiles, CategoryTable(names=poi.categories))
         save_report(self.out / "report.csv", rows)
         (self.out / "report.txt").write_text(format_report(profiles, rows))
         return {"zones": len(profiles),

@@ -53,7 +53,7 @@ DEFAULT_CATEGORIES = [
     "park/lake(camping site)",
 ]
 
-FEATURE_KINDS = ("raw_poi", "tfidf", "svd_poi", "latent_v", "latent_z")
+FEATURE_KINDS = ("raw_poi", "tfidf", "svd_poi", "latent_v")
 
 
 @dataclass

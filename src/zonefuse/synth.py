@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,11 +52,13 @@ class SynthCitySpec:
     n_users: int = 2000
     seed: int = 0
     level: int = 6
-    origin_lat: float = 35.78
-    origin_lon: float = -78.68
     days: int = 2
-    pois_per_region: float = 12.0
-    anchors_per_zone: int = 3
+    # the same for every city: the point the grid snaps to, the mean POI
+    # count of a selected region and the trip anchors of each zone
+    origin_lat: ClassVar[float] = 35.78
+    origin_lon: ClassVar[float] = -78.68
+    pois_per_region: ClassVar[float] = 12.0
+    anchors_per_zone: ClassVar[int] = 3
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -66,8 +69,6 @@ class SynthCitySpec:
             raise ValueError(f"observation rate {self.obs_rate} outside (0, 1]")
         if self.n_users < 0 or self.days < 1:
             raise ValueError("need a non-negative user count and >= 1 days")
-        if self.anchors_per_zone < 1:
-            raise ValueError("each zone needs at least one anchor region")
         if self.poi_dists is None:
             self.poi_dists = default_poi_dists(self.n_zones)
         self.poi_dists = np.asarray(self.poi_dists, dtype=np.float64)

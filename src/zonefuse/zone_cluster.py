@@ -25,6 +25,10 @@ from .poi_ingest import FeatureMatrix
 logger = logging.getLogger(__name__)
 
 VARIANCE_FLOOR = 1e-6
+# iteration caps of k-means, of ICM sweeps and of hard-EM rounds
+KMEANS_MAX_ITER = 100
+ICM_MAX_SWEEPS = 100
+CRF_MAX_ROUNDS = 50
 
 EXHAUSTIVE_LIMIT = 2_000_000
 
@@ -105,8 +109,7 @@ def _points(F) -> np.ndarray:
     return np.ascontiguousarray(M.T, dtype=np.float64)
 
 
-def kmeans(F, c: int, seed: int = 0,
-           max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(F, c: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means on region columns with k-means++ seeding.
 
     Assignment ties break to the lowest label and clusters emptied during
@@ -133,7 +136,7 @@ def kmeans(F, c: int, seed: int = 0,
         d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
 
     labels = _assign(X, centroids)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         centroids = _update_centroids(X, labels, centroids, c)
         new_labels = _assign(X, centroids)
         if np.array_equal(new_labels, labels):
@@ -163,19 +166,18 @@ def _update_centroids(X, labels, centroids, c):
     return out
 
 
-def fit_gaussians(F, labels: np.ndarray, c: int,
-                  variance_floor: float = VARIANCE_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def fit_gaussians(F, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-label mean and floored diagonal variance (labels must be nonempty)."""
     X = _points(F)
     d = X.shape[1]
     means = np.zeros((c, d))
-    variances = np.full((c, d), variance_floor)
+    variances = np.full((c, d), VARIANCE_FLOOR)
     for j in range(c):
         members = X[labels == j]
         if members.shape[0] == 0:
             raise ValueError(f"label {j} has no members")
         means[j] = members.mean(axis=0)
-        variances[j] = np.maximum(members.var(axis=0), variance_floor)
+        variances[j] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
     return means, variances
 
 
@@ -204,8 +206,7 @@ def energy(labels: np.ndarray, F, model: ZoneModel, adj: Adjacency) -> float:
     return unary + pair
 
 
-def icm_map(labels, F, model: ZoneModel, adj: Adjacency,
-            max_sweeps: int = 100) -> np.ndarray:
+def icm_map(labels, F, model: ZoneModel, adj: Adjacency) -> np.ndarray:
     """Iterated conditional modes from an initial labeling.
 
     Regions are visited in fixed index order; each takes the label
@@ -222,7 +223,7 @@ def icm_map(labels, F, model: ZoneModel, adj: Adjacency,
     U = _unary(X, model.means, model.variances)
     beta = model.beta
     prev_energy = energy(labels, F, model, adj)
-    for _ in range(max_sweeps):
+    for _ in range(ICM_MAX_SWEEPS):
         changed = False
         for i in range(r):
             nbrs = adj.neighbors[i]
@@ -245,14 +246,12 @@ def icm_map(labels, F, model: ZoneModel, adj: Adjacency,
     return labels
 
 
-def crf_fit(F, adj: Adjacency, c: int, beta: float = 1.0, seed: int = 0,
-            max_rounds: int = 50,
-            variance_floor: float = VARIANCE_FLOOR) -> ZoneModel:
+def crf_fit(F, adj: Adjacency, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
     """Hard-EM zone fit: k-means start, Gaussian refit, ICM, repeat.
 
     Labels emptied between rounds are re-seeded from the point farthest
     from its zone mean, mirroring the k-means rule.  Stops when a round
-    leaves the labeling unchanged or after max_rounds.
+    leaves the labeling unchanged or after CRF_MAX_ROUNDS.
     """
     X = _points(F)
     r = X.shape[0]
@@ -260,19 +259,19 @@ def crf_fit(F, adj: Adjacency, c: int, beta: float = 1.0, seed: int = 0,
         raise ValueError(f"zone count {c} outside [1, {r}]")
     labels, _ = kmeans(F, c, seed=seed)
     model = None
-    for _ in range(max_rounds):
-        labels, model = _refit(X, labels, c, beta, variance_floor)
+    for _ in range(CRF_MAX_ROUNDS):
+        labels, model = _refit(X, labels, c, beta)
         new_labels = icm_map(labels, F, model, adj)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    labels, model = _refit(X, labels, c, beta, variance_floor)
+    labels, model = _refit(X, labels, c, beta)
     model.labels = labels
     return model
 
 
-def _refit(X, labels, c, beta, variance_floor):
+def _refit(X, labels, c, beta):
     """M-step on raw points: re-seed empty labels, then fit Gaussians."""
     labels = labels.copy()
     counts = np.bincount(labels, minlength=c)
@@ -284,7 +283,7 @@ def _refit(X, labels, c, beta, variance_floor):
             far = int(np.argmax(dist))
             labels[far] = j
             dist[far] = -1.0
-    means, variances = fit_gaussians(X.T, labels, c, variance_floor)
+    means, variances = fit_gaussians(X.T, labels, c)
     return labels, ZoneModel(means=means, variances=variances, beta=beta,
                              labels=labels)
 

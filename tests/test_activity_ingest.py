@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -276,6 +277,15 @@ class TestBuildHapMatrix:
         assert loaded.r == 3 and loaded.s == 24 and loaded.tz == "UTC-05:00"
         assert np.array_equal(loaded.data.toarray(), hap.data.toarray())
         assert loaded.data.dtype == np.float64
+
+    @pytest.mark.parametrize("key,value", [("s", 12), ("kinds", ["arriving", "leaving"])])
+    def test_load_rejects_another_row_layout(self, tmp_path, key, value):
+        build_hap_matrix(trips([]), r=3).save(tmp_path / "hap.coo", tmp_path / "hap.json")
+        meta = json.loads((tmp_path / "hap.json").read_text())
+        meta[key] = value
+        (tmp_path / "hap.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="differs"):
+            HapMatrix.load(tmp_path / "hap.coo", tmp_path / "hap.json")
 
     def test_empty_matrix_round_trip(self, tmp_path):
         hap = build_hap_matrix(trips([]), r=3)

@@ -134,6 +134,24 @@ class TestExitCodes:
         assert "data error" in err and "cells.csv" in err and feature in err
         assert (tmp_path / "g" / "labels.csv").read_bytes() == labels
 
+    @pytest.mark.parametrize("method,feature,setting,bound", [
+        ("crf", "latent_v", "zones=100", "[1, 36]"),
+        ("kmeans", "raw_poi", "zones=100", "[1, 36]"),
+        ("kmeans", "svd_poi", "svd_t=50", "[1, 28]"),
+    ])
+    def test_out_of_range_cluster_setting_exits_two(self, city, tmp_path, capsys,
+                                                    method, feature, setting, bound):
+        base = ["--config", str(city / "config.txt"), "--out-dir", str(tmp_path / "r"),
+                "--set", "max_iter=20", "--set", "k=4",
+                "--set", f"method={method}", "--set", f"feature={feature}"]
+        assert main(["run"] + base) == 0
+        labels = (tmp_path / "r" / "labels.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["cluster"] + base + ["--set", setting]) == 2
+        key, value = setting.split("=")
+        assert f"config error: {key} {value} outside {bound}" in capsys.readouterr().err
+        assert (tmp_path / "r" / "labels.csv").read_bytes() == labels
+
     def test_divergent_solver_exits_four(self, city, tmp_path, capsys,
                                          monkeypatch):
         def diverge(*args, **kwargs):

@@ -66,6 +66,15 @@ class TestEncode:
         for p in [GeoPoint(0.0, 0.0), GeoPoint(45.0, 90.0), GeoPoint(-45.0, -90.0)]:
             for level in (1, 3, 6):
                 assert encode(p, level).code == oracle_encode(p.lat, p.lon, level)
+        # Cell corners off the midlines, and the points one ulp either side.
+        for level in (6, 12):
+            box = decode(encode(GeoPoint(57.64911, 10.40744), level))
+            for lat in (box.min_lat, box.max_lat):
+                for lon in (box.min_lon, box.max_lon):
+                    for a in (np.nextafter(lat, -90.0), lat, np.nextafter(lat, 90.0)):
+                        for b in (np.nextafter(lon, -180.0), lon, np.nextafter(lon, 180.0)):
+                            p = GeoPoint(float(a), float(b))
+                            assert encode(p, level).code == oracle_encode(p.lat, p.lon, level)
 
     def test_world_edges_clamp(self):
         for p in [GeoPoint(90.0, 0.0), GeoPoint(90.0, 180.0),

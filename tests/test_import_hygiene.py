@@ -1,8 +1,9 @@
 """What a fresh interpreter imports.  Only the stages that build or factor
 a sparse matrix may load scipy, and `import zonefuse.cli` loads no numpy,
-so `--threads` can still pin the BLAS pools when the CLI reads it.  Each
-check runs in a fresh interpreter, so the imports of the test process
-itself do not count."""
+so `--threads` can still pin the BLAS pools when the CLI reads it.  The
+benchmark tracer must still find every name it wraps.  Each check runs
+in a fresh interpreter, so the imports of the test process itself do not
+count, and the tracer's patches do not leak into other tests."""
 import json
 import os
 import subprocess
@@ -85,6 +86,15 @@ def test_cached_beta_edit_loads_no_scipy(primed):
 
 def test_forced_poi_ingest_loads_no_scipy(primed):
     assert verb(primed, "ingest-poi", "--force") == []
+
+
+def test_benchmark_tracer_installs():
+    # install reads each wrapped save/load method from its class body
+    # and raises KeyError when one is gone
+    perfbench = SRC.parent / "perfbench"
+    body = (f"sys.path.insert(0, {str(perfbench)!r})\n"
+            "import tracer\ntracer.install(tracer.Recorder('probe'))")
+    assert "zonefuse.pipeline" in loaded("zonefuse", body)
 
 
 def test_forced_fit_loads_scipy(primed):

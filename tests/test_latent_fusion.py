@@ -371,6 +371,21 @@ class TestFit:
         assert trace.stop_reason == "converged"
         assert trace.iters[-1] < 2000
 
+    def test_stop_rule_is_relative_to_the_objective(self):
+        # the objective here ends near 1.5, so an absolute bound of
+        # epsilon would stop about 30 sweeps later
+        P, I, T = standard_instance(31)
+        eps = 1e-5
+        _, full = fit(P, I, T, Hyperparams(k=3, epsilon=0.0, max_iter=300, seed=7))
+        prev, cur = np.array(full.totals[:-1]), np.array(full.totals[1:])
+        meets = (prev - cur >= 0) & (prev - cur <= eps * np.maximum(np.abs(prev), 1.0))
+        first = int(np.argmax(meets)) + 1
+        assert meets.any() and first < 300
+        _, trace = fit(P, I, T, Hyperparams(k=3, epsilon=eps, max_iter=300, seed=7))
+        assert trace.stop_reason == "converged"
+        assert trace.iters[-1] == first
+        assert trace.totals == full.totals[:first + 1]
+
 
 def full_width_update_U(P, I, f, h):
     """_update_U over every region, unobserved ones included."""

@@ -1,5 +1,6 @@
 """Pipeline orchestration: staging, artifacts, resumption, GeoJSON."""
 import json
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -9,11 +10,12 @@ import pytest
 
 import zonefuse.pipeline
 from zonefuse.config import PipelineConfig, parse_pairs
-from zonefuse.errors import DataError
+from zonefuse.errors import ConfigError, DataError
 from zonefuse.geo_grid import GridIndex, decode
 from zonefuse.latent_fusion import TERM_NAMES, LatentFactors
 from zonefuse.pipeline import (STAGE_IO, STAGE_OUTPUTS, STAGES, Pipeline,
                                export_geojson, file_sha256, run)
+from zonefuse.poi_ingest import DEFAULT_CATEGORIES
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
 from zonefuse.zone_cluster import load_labels
 
@@ -373,6 +375,22 @@ class TestFeatureAndMethodVariants:
             pipe.run_stage("cluster")
         assert (city / name / "labels.csv").read_bytes() == labels
 
+    @pytest.mark.parametrize("method,feature,key,value,bound", [
+        ("crf", "latent_v", "zones", 100, "[1, 64]"),
+        ("kmeans", "raw_poi", "zones", 100, "[1, 64]"),
+        ("kmeans", "svd_poi", "svd_t", 50, "[1, 28]"),  # 28 categories
+    ])
+    def test_out_of_range_cluster_settings_are_config_errors(
+            self, city, method, feature, key, value, bound):
+        name = f"range_{method}_{feature}"
+        run(variant(city, name, method=method, feature=feature))
+        labels = (city / name / "labels.csv").read_bytes()
+        pipe = Pipeline(variant(city, name, method=method, feature=feature,
+                                **{key: value}))
+        with pytest.raises(ConfigError, match=re.escape(f"{key} {value} outside {bound}")):
+            pipe.run_stage("cluster")
+        assert (city / name / "labels.csv").read_bytes() == labels
+
     def test_tfidf_kmeans(self, city):
         cfg = variant(city, "tfidf", feature="tfidf")
         run(cfg)
@@ -415,6 +433,19 @@ class TestAnnotateGuards:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises((DataError, ValueError)):
             pipe.run_stage("annotate", force=True)
+
+    def test_report_names_the_categories_of_the_poi_matrix(self, city, tmp_path):
+        table = tmp_path / "categories.csv"
+        table.write_text("id,name\n" + "".join(
+            f"{i + 1},{name}\n" for i, name in enumerate(DEFAULT_CATEGORIES)))
+        cfg = variant(city, "renamed", category_path=str(table))
+        run(cfg)
+        report = (city / "renamed" / "report.csv").read_bytes()
+        # an edited table reaches the report only through a new poi.json
+        table.write_text("id,name\n" + "".join(
+            f"{i + 1},renamed {i + 1}\n" for i in range(len(DEFAULT_CATEGORIES))))
+        Pipeline(cfg).run_stage("annotate", force=True)
+        assert (city / "renamed" / "report.csv").read_bytes() == report
 
 
 class TestGeojson:
