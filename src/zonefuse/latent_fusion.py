@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -117,6 +118,8 @@ class FitTrace:
     terms: list[dict[str, float]] = field(default_factory=list)
     stop_reason: str = "max_iter"
     relative_decrease: float = 0.0  # of the last sweep
+    q_factor: str = ""  # how the Q step's M is factored: cholesky, splu or pinv
+    q_factor_s: float = 0.0  # time to build and factor M
 
     def append(self, it: int, total: float, terms: dict[str, float]) -> None:
         self.iters.append(it)
@@ -271,18 +274,23 @@ def _update_V(P, I, f: LatentFactors, h: Hyperparams) -> np.ndarray:
 
 
 def _q_solver(T, h: Hyperparams):
-    """The Q update as a map Z -> (Y, Q T), where Q = l1 Y T^T.
+    """The Q update as (factorization name, map Z -> (Y, Q T)), where
+    Q = l1 Y T^T.
 
     The minimiser solves Q (l1 T T^T + l5 I) = l1 Z T^T (q x q); pushed
     through T this is Y M = Z with the sparse r x r M = l1 T^T T + l5 I,
-    factored once, and Q T = Z - l5 Y.  With l5 = 0, M may be singular
-    and the least-norm minimiser is taken.
+    factored once, and Q T = Z - l5 Y.  SuperLU's factor of an M at least
+    1/16 dense fills to half the r x r square or more, where a dense
+    Cholesky's BLAS triangular solves beat SuperLU's scalar ones at every
+    size; a sparser M keeps its sparse LU factor.  With l5 = 0, M may be
+    singular and the least-norm minimiser is taken.
     """
     # imported here: scipy.sparse takes longer to import than a cached rerun
     # takes to run, and scipy.sparse.linalg adds ~8 MB of resident memory
     import scipy.sparse as sp
-    M = sp.csc_array(h.lambda1 * (T.T @ T) + h.lambda5 * sp.identity(T.shape[1]))
-    if h.lambda5 > 0:
+    r = T.shape[1]
+    M = sp.csc_array(h.lambda1 * (T.T @ T) + h.lambda5 * sp.identity(r))
+    if h.lambda5 > 0 and 16 * M.nnz < r * r:
         from scipy.sparse.linalg import splu
         # a symmetric fill-reducing order; unrelaxed supernodes store no
         # padding zeros, which keeps the factor 20% smaller on 32x32 grids
@@ -292,10 +300,18 @@ def _q_solver(T, h: Hyperparams):
         def solve(Z):
             Y = lu.solve(Z.T).T
             return Y, Z - h.lambda5 * Y
-        return solve
-    M = M.toarray()
+        return "splu", solve
+    M = M.toarray(order="F")
+    if h.lambda5 > 0:
+        from scipy.linalg import cho_factor, cho_solve
+        c = cho_factor(M, overwrite_a=True, check_finite=False)
+
+        def solve(Z):
+            Y = cho_solve(c, Z.T, check_finite=False).T
+            return Y, Z - h.lambda5 * Y
+        return "cholesky", solve
     M_pinv = np.linalg.pinv(M, hermitian=True)
-    return lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
+    return "pinv", lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
 
 
 def _update_Z(QT, f: LatentFactors, h: Hyperparams) -> np.ndarray:
@@ -342,7 +358,9 @@ def fit(P, I, T, h: Hyperparams,
     trace = FitTrace()
     trace.append(0, total, terms)
     # the loop needs only Q T and ||Q||^2; Q itself is built after it
-    solve_q = _q_solver(T, h)
+    started = time.perf_counter()
+    trace.q_factor, solve_q = _q_solver(T, h)
+    trace.q_factor_s = time.perf_counter() - started
     prev = total
     for it in range(1, h.max_iter + 1):
         f.U = _update_U(P, I, f, h)

@@ -298,7 +298,8 @@ class Pipeline:
         trace.to_csv(self.out / "trace.csv")
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
-                "relative_decrease": trace.relative_decrease}
+                "relative_decrease": trace.relative_decrease,
+                "q_factor": trace.q_factor, "q_factor_s": trace.q_factor_s}
 
     def _features(self) -> FeatureMatrix:
         kind = self.cfg.feature

@@ -36,6 +36,15 @@ def standard_instance(seed, p=5, r=7, k=3, q=336, column_mask=False):
     return P, I, T
 
 
+def diagonal_activity(seed, r=40, q=48):
+    """A T with one nonzero per row and per column, so T^T T is diagonal:
+    M of the Q step is 1/r dense, below the 1/16 at which it goes dense."""
+    rng = np.random.default_rng(seed)
+    T = np.zeros((q, r))
+    T[rng.permutation(q)[:r], np.arange(r)] = rng.poisson(3.0, r) + 1.0
+    return T
+
+
 def random_factors(seed, p, r, k, q, scale=0.5):
     rng = np.random.default_rng(seed)
     return LatentFactors(
@@ -281,18 +290,30 @@ class TestFit:
         with pytest.raises(DivergenceError, match="initial factors"):
             fit(P, I, T, Hyperparams(k=3, max_iter=50))
 
-    @pytest.mark.parametrize("column_mask", [False, True])
-    def test_each_block_update_is_its_exact_minimiser(self, column_mask):
-        # after a block's update, the gradient oracle vanishes on that block
-        p, r, k, q = 5, 7, 3, 30
+    @pytest.mark.parametrize("column_mask, activity", [
+        pytest.param(False, "dense", id="False"),
+        pytest.param(True, "dense", id="True"),
+        pytest.param(False, "diagonal", id="diagonal-False"),
+        pytest.param(True, "diagonal", id="diagonal-True"),
+    ])
+    def test_each_block_update_is_its_exact_minimiser(self, column_mask, activity):
+        # after a block's update, the gradient oracle vanishes on that block;
+        # the dense M of the Q step takes a Cholesky factor, the diagonal one splu
+        if activity == "dense":
+            p, r, k, q = 5, 7, 3, 30
+            T = np.random.default_rng(37).poisson(0.2, size=(q, r)).astype(float)
+        else:
+            p, r, k, q = 5, 40, 3, 48
+            T = diagonal_activity(37, r, q)
         P, I, _ = standard_instance(36, p=p, r=r, k=k, column_mask=column_mask)
-        T = np.random.default_rng(37).poisson(0.2, size=(q, r)).astype(float)
         f = random_factors(38, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=0.7, lambda5=0.02)
         f.U = latent_fusion._update_U(P, I, f, h)
         f.V = latent_fusion._update_V(P, I, f, h)
-        Y, QT = latent_fusion._q_solver(T, h)(f.Z)
+        name, solve_q = latent_fusion._q_solver(T, h)
+        assert name == {"dense": "cholesky", "diagonal": "splu"}[activity]
+        Y, QT = solve_q(f.Z)
         f.Q = h.lambda1 * Y @ T.T
         assert np.allclose(QT, f.Q @ T, atol=1e-10)
         g_q = gradients(P, I, T, f, h)["Q"]
@@ -334,10 +355,32 @@ class TestFit:
         assert np.all(np.diff(trace.totals) <= 1e-9)
         # Q = l1 Y T^T zeroes the Q gradient; least norm puts no weight on
         # the activity-free region, the null space of T^T T
-        Y, QT = latent_fusion._q_solver(T, h)(f.Z)
+        assert trace.q_factor == "pinv"
+        Y, QT = latent_fusion._q_solver(T, h)[1](f.Z)
         assert np.allclose(QT, h.lambda1 * Y @ T.T @ T)
         assert np.allclose((QT - f.Z) @ T.T, 0.0, atol=1e-9)
         assert np.allclose(Y[:, 2], 0.0, atol=1e-12)
+
+    def test_q_factorization_follows_the_density_of_M(self, monkeypatch):
+        # an M at least 1/16 dense takes a dense Cholesky factor, a sparser
+        # one SuperLU's; each fit here fails if it reaches the other
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization chosen against the density of M")
+        h = Hyperparams(k=3, max_iter=5)
+        P, I, T = standard_instance(45)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.sparse.linalg, "splu", refuse)
+            _, trace = fit(P, I, T, h)
+        assert trace.q_factor == "cholesky"
+        assert trace.q_factor_s >= 0.0
+        T = diagonal_activity(46)
+        P, I, _ = standard_instance(47, r=T.shape[1])
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        _, trace = fit(P, I, T, h)
+        assert trace.q_factor == "splu"
 
     def test_max_iter_stop_logs_warning(self, caplog):
         P, I, T = standard_instance(42)

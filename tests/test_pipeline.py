@@ -74,6 +74,8 @@ class TestFullRun:
         assert sum(notes["terms"].values()) == pytest.approx(notes["objective"])
         assert notes["relative_decrease"] >= 0.0
         assert notes["stop_reason"] in ("converged", "max_iter")
+        assert notes["q_factor"] in ("cholesky", "splu", "pinv")
+        assert notes["q_factor_s"] >= 0.0
 
     def test_labels_cover_grid(self, city):
         cfg = variant(city, "full")
