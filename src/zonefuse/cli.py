@@ -5,8 +5,8 @@ stages a run would redo, and why) and `synth` (generate a synthetic city
 and a matching config).  Exit codes: 0 success, 2 config error, 3 data
 error, 4 numeric divergence.
 
-Heavy numeric imports happen after argument parsing so `--threads` and
-`--deterministic` can pin the BLAS thread pools before numpy loads.
+Heavy numeric imports happen after argument parsing so `--threads` can
+pin the BLAS thread pools before numpy loads.
 """
 from __future__ import annotations
 
@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_config_options(p)
         p.add_argument("--threads", type=int, default=0,
                        help="cap numeric thread pools (0 leaves them alone)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded numeric paths")
         p.add_argument("--force", action="store_true",
                        help="rerun stages even when artifacts are fresh")
 
@@ -133,11 +131,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.verb not in ("synth", "status"):
-        if args.deterministic:
-            _pin_threads(1)
-        elif args.threads > 0:
-            _pin_threads(args.threads)
+    if args.verb not in ("synth", "status") and args.threads > 0:
+        _pin_threads(args.threads)
     try:
         if args.verb == "synth":
             return _run_synth(args)

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -60,11 +61,9 @@ STAGE_IO = {
     "ingest-gps": StageIO(("stay_distance_m", "stay_duration_s", "timezone",
                            "weekdays_only"), ("cells.csv", "gps_path"), _HAP),
     "ingest-poi": StageIO((), ("cells.csv", "poi_path", "category_path"), _POI),
-    # Q (k x 48r) is not saved: no stage reads it
+    # only V, the latent vector per region, is saved: no stage reads the rest
     "fit": StageIO(tuple(f.name for f in fields(Hyperparams)), _POI + _HAP,
-                   ("factors/U.bin", "factors/V.bin", "factors/Z.bin",
-                    "factors/A.bin", "factors/W.bin", "factors/shapes.json",
-                    "trace.csv")),
+                   ("factors/V.bin", "factors/shapes.json", "trace.csv")),
     # plus the files of its feature and the outputs of its method, below
     "cluster": StageIO(("method", "feature", "zones", "beta", "svd_t", "seed"),
                        ("cells.csv",), ("labels.csv", "zones.geojson")),
@@ -94,6 +93,16 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def _reading(*paths: Path):
+    """Map a ValueError or KeyError raised while reading run artifacts to
+    a DataError naming them: such a file is malformed, not the code."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"malformed {' or '.join(map(str, paths))}: {exc}") from exc
 
 
 def export_geojson(labels, grid: GridIndex, path=None) -> dict:
@@ -239,8 +248,14 @@ class Pipeline:
     def _grid(self, stage: str) -> GridIndex:
         self._require(stage, "cells.csv")
         if self._kept_grid is None:
-            self._kept_grid = GridIndex.from_csv(self.out / "cells.csv")
+            with _reading(self.out / "cells.csv"):
+                self._kept_grid = GridIndex.from_csv(self.out / "cells.csv")
         return self._kept_grid
+
+    def _poi(self) -> PoiMatrix:
+        coo, sidecar = self.out / "poi.coo", self.out / "poi.json"
+        with _reading(coo, sidecar):
+            return PoiMatrix.load(coo, sidecar)
 
     # --- stages ---------------------------------------------------------
 
@@ -288,13 +303,16 @@ class Pipeline:
                 "observed_fraction": poi.observed_fraction()}
 
     def _stage_fit(self) -> dict:
-        poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
-        hap = HapMatrix.load(self.out / "hap.coo", self.out / "hap.json")
+        poi = self._poi()
+        coo, sidecar = self.out / "hap.coo", self.out / "hap.json"
+        with _reading(coo, sidecar):
+            hap = HapMatrix.load(coo, sidecar)
         factors, trace = fit(poi.P, poi.observation_matrix(), hap.data,
                              self.cfg.hyperparams())
-        replace(factors, Q=None).save(self.out / "factors")
-        # left by an older version; nothing would track it now
-        (self.out / "factors" / "Q.bin").unlink(missing_ok=True)
+        # blocks an older version saved; nothing would track them now
+        for stale in (self.out / "factors").glob("*.bin"):
+            stale.unlink()
+        replace(factors, U=None, Q=None, Z=None, A=None, W=None).save(self.out / "factors")
         trace.to_csv(self.out / "trace.csv")
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
@@ -304,9 +322,11 @@ class Pipeline:
     def _features(self) -> FeatureMatrix:
         kind = self.cfg.feature
         if kind == "latent_v":
-            factors = LatentFactors.load(self.out / "factors", ("V",))
-            return FeatureMatrix(F=factors.V, kind=kind)
-        poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
+            factors = self.out / "factors"
+            with _reading(factors / "shapes.json", factors / "V.bin"):
+                V = LatentFactors.load(factors, ("V",)).V
+            return FeatureMatrix(F=V, kind=kind)
+        poi = self._poi()
         if kind == "raw_poi":
             return raw_poi_features(poi)
         if kind == "tfidf":
@@ -339,14 +359,21 @@ class Pipeline:
             (self.out / "model.json").unlink(missing_ok=True)
         save_labels(self.out / "labels.csv", grid.cells, labels)
         export_geojson(labels, grid, path=self.out / "zones.geojson")
+        sizes = np.bincount(labels, minlength=cfg.zones)
+        largest = int(sizes.argmax())
+        if sizes[largest] > F.r / 2:
+            logger.warning("zone %d holds %d of the %d regions (%.1f%%)",
+                           largest, sizes[largest], F.r, 100 * sizes[largest] / F.r)
+        notes["zone_sizes"] = sizes.tolist()
         return notes
 
     def _stage_annotate(self) -> dict:
         grid = self._grid("annotate")
-        codes, labels = load_labels(self.out / "labels.csv")
+        with _reading(self.out / "labels.csv"):
+            codes, labels = load_labels(self.out / "labels.csv")
         if codes != [c.code for c in grid.cells]:
             raise DataError("labels.csv does not match the current grid")
-        poi = PoiMatrix.load(self.out / "poi.coo", self.out / "poi.json")
+        poi = self._poi()
         profiles = build_profiles(labels, poi)
         rows = ranked_report(profiles, CategoryTable(names=poi.categories))
         save_report(self.out / "report.csv", rows)

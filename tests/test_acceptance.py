@@ -428,11 +428,11 @@ def test_11_deterministic_rerun_is_byte_identical(tmp_path):
     gen_synthetic_city(spec, tmp_path)
     cfg = write_city_config(spec, tmp_path, feature="latent_v", method="crf",
                             k="4", beta="1.0", max_iter="150")
-    assert cli_main(["run", "--config", str(cfg), "--deterministic"]) == 0
+    assert cli_main(["run", "--config", str(cfg), "--threads", "1"]) == 0
     out = tmp_path / "out"
     first = {name: (out / name).read_bytes()
              for name in ("labels.csv", "report.csv")}
-    assert cli_main(["run", "--config", str(cfg), "--deterministic",
+    assert cli_main(["run", "--config", str(cfg), "--threads", "1",
                      "--force"]) == 0
     second = {name: (out / name).read_bytes()
               for name in ("labels.csv", "report.csv")}

@@ -134,6 +134,29 @@ class TestExitCodes:
         assert "data error" in err and "cells.csv" in err and feature in err
         assert (tmp_path / "g" / "labels.csv").read_bytes() == labels
 
+    @pytest.mark.parametrize("verb,name", [("annotate", "labels.csv"),
+                                           ("cluster", "factors/V.bin"),
+                                           ("annotate", "poi.json")])
+    def test_malformed_artifact_exits_three(self, city, tmp_path, capsys,
+                                            verb, name):
+        base = ["--config", str(city / "config.txt"), "--out-dir", str(tmp_path / "m"),
+                "--set", "max_iter=20", "--set", "k=4",
+                "--set", "method=crf", "--set", "feature=latent_v"]
+        assert main(["run"] + base) == 0
+        path = tmp_path / "m" / name
+        data = path.read_bytes()
+        if name == "labels.csv":  # the first row's column_index becomes x
+            header, first, rest = data.split(b"\n", 2)
+            code, _, label = first.split(b",")
+            data = b"\n".join((header, b",".join((code, b"x", label)), rest))
+        else:  # cut short
+            data = data[:64]
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert main([verb] + base) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and path.name in err
+
     @pytest.mark.parametrize("method,feature,setting,bound", [
         ("crf", "latent_v", "zones=100", "[1, 36]"),
         ("kmeans", "raw_poi", "zones=100", "[1, 36]"),
@@ -167,7 +190,7 @@ class TestExitCodes:
 class TestDeterministicFlag:
     def test_byte_identical_outputs(self, city, tmp_path):
         base = ["run", "--config", str(city / "config.txt"),
-                "--set", "max_iter=20", "--set", "k=4", "--deterministic"]
+                "--set", "max_iter=20", "--set", "k=4", "--threads", "1"]
         assert main(base + ["--out-dir", str(tmp_path / "r1")]) == 0
         assert main(base + ["--out-dir", str(tmp_path / "r2"), "--force"]) == 0
         for name in ("labels.csv", "report.csv"):

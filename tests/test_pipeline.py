@@ -13,8 +13,8 @@ from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import ConfigError, DataError
 from zonefuse.geo_grid import GridIndex, decode
 from zonefuse.latent_fusion import TERM_NAMES, LatentFactors
-from zonefuse.pipeline import (STAGE_IO, STAGE_OUTPUTS, STAGES, Pipeline,
-                               export_geojson, file_sha256, run)
+from zonefuse.pipeline import (CLUSTER_METHOD_OUTPUTS, STAGE_IO, STAGE_OUTPUTS,
+                               STAGES, Pipeline, export_geojson, file_sha256, run)
 from zonefuse.poi_ingest import DEFAULT_CATEGORIES
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
 from zonefuse.zone_cluster import load_labels
@@ -76,6 +76,37 @@ class TestFullRun:
         assert notes["stop_reason"] in ("converged", "max_iter")
         assert notes["q_factor"] in ("cholesky", "splu", "pinv")
         assert notes["q_factor_s"] >= 0.0
+
+    @pytest.mark.parametrize("method,feature", [("crf", "latent_v"),
+                                                ("kmeans", "raw_poi")])
+    def test_every_artifact_is_declared(self, city, method, feature):
+        name = f"declared_{method}"
+        run(variant(city, name, method=method, feature=feature))
+        out = city / name
+        declared = {"manifest.json", "config.txt", *CLUSTER_METHOD_OUTPUTS[method]}
+        for outputs in STAGE_OUTPUTS.values():
+            declared.update(outputs)
+        written = {path.relative_to(out).as_posix()
+                   for path in out.rglob("*") if path.is_file()}
+        assert written == declared
+
+    def test_cluster_notes_carry_zone_sizes(self, city, caplog):
+        cfg = variant(city, "sizes", method="crf", feature="latent_v")
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            sizes = run(cfg)["stages"]["cluster"]["notes"]["zone_sizes"]
+        assert len(sizes) == cfg.zones and sum(sizes) == 64
+        largest = sizes.index(max(sizes))
+        warned = [r.getMessage() for r in caplog.records if "holds" in r.getMessage()]
+        assert warned == ([f"zone {largest} holds {sizes[largest]} of the 64 regions "
+                           f"({100 * sizes[largest] / 64:.1f}%)"]
+                          if sizes[largest] > 32 else [])
+
+    def test_one_zone_over_half_the_regions_warns(self, city, caplog):
+        cfg = variant(city, "one_zone", zones=1)
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            notes = run(cfg)["stages"]["cluster"]["notes"]
+        assert notes["zone_sizes"] == [64]
+        assert "zone 0 holds 64 of the 64 regions (100.0%)" in caplog.text
 
     def test_labels_cover_grid(self, city):
         cfg = variant(city, "full")
@@ -344,25 +375,38 @@ class TestFeatureAndMethodVariants:
         pipe = Pipeline(cfg)
         pipe.run()
         labels = (city / "onlyv" / "labels.csv").read_bytes()
-        (city / "onlyv" / "factors" / "U.bin").unlink()
+        factors = city / "onlyv" / "factors"
+        assert sorted(path.name for path in factors.iterdir()) == ["V.bin", "shapes.json"]
         pipe.run_stage("cluster", force=True)
         assert (city / "onlyv" / "labels.csv").read_bytes() == labels
 
     def test_fit_writes_no_Q_block(self, city):
         cfg = variant(city, "noq", method="crf", feature="latent_v")
-        run(cfg)
+        manifest = run(cfg)
+        assert sorted(manifest["stages"]["fit"]["outputs"]) == [
+            "factors/V.bin", "factors/shapes.json", "trace.csv"]
         factors = city / "noq" / "factors"
         assert not (factors / "Q.bin").exists()
         shapes = json.loads((factors / "shapes.json").read_text())["shapes"]
-        assert sorted(shapes) == ["A", "U", "V", "W", "Z"]
+        assert sorted(shapes) == ["V"]
         V = LatentFactors.load(factors, ("V",)).V
         assert V.shape == (4, 64)
         loaded = LatentFactors.load(factors)
         assert loaded.Q is None and np.array_equal(loaded.V, V)
-        # a Q.bin left by an older version goes at the next fit
-        (factors / "Q.bin").write_bytes(b"")
+        # blocks left by an older version go at the next fit
+        for name in ("Q", "U", "Z", "A", "W"):
+            (factors / f"{name}.bin").write_bytes(b"")
         Pipeline(cfg).run_stage("fit", force=True)
-        assert not (factors / "Q.bin").exists()
+        assert sorted(path.name for path in factors.iterdir()) == ["V.bin", "shapes.json"]
+        shapes = json.loads((factors / "shapes.json").read_text())["shapes"]
+        assert list(shapes) == ["V"]
+
+    def test_shapes_without_V_is_a_data_error(self, city):
+        cfg = variant(city, "nov", method="crf", feature="latent_v")
+        run(cfg)
+        (city / "nov" / "factors" / "shapes.json").write_text('{"shapes": {}}\n')
+        with pytest.raises(DataError, match="malformed .*shapes.json"):
+            Pipeline(cfg).run_stage("cluster")
 
     @pytest.mark.parametrize("method,feature", [("crf", "latent_v"),
                                                 ("kmeans", "raw_poi")])
