@@ -2,10 +2,11 @@
 
 Learns one latent representation per region from two views at once: the
 masked POI matrix P (category x region, observed columns only) and the
-activity matrix T (hour-origin rows x region).  Six factor blocks are fit
-by block coordinate descent on
+activity matrix T (hour-origin rows x region).  A region is observed as
+a whole column or not at all; with o the observed columns, six factor
+blocks are fit by block coordinate descent on
 
-    0.5 ||I o (P - U V)||^2
+    0.5 ||P_o - U V_o||^2
   + (l1/2) ||Q T - Z||^2        activity transformed into latent space
   + (l2/2) ||Z - U^T A||^2      latent view tied to a sparse POI code A
   + l3 ||A||_1
@@ -140,25 +141,21 @@ def soft_threshold(x: np.ndarray | float, threshold: float):
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
-def _checked(P, I, T, f: LatentFactors, h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    """P and I as float arrays, once every shape agrees with them."""
+def _checked(P, observed, T, f: LatentFactors,
+             h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+    """P as a float array and observed, one flag per region, as a bool
+    array, once every shape agrees with P."""
     P = np.asarray(P, dtype=np.float64)
-    I = np.asarray(I, dtype=np.float64)
+    observed = np.asarray(observed, dtype=bool)
     p, r = P.shape
     q, k = T.shape[0], h.k
-    expected = {"I": (p, r), "T": (q, r), "U": (p, k), "V": (k, r),
+    expected = {"observed": (r,), "T": (q, r), "U": (p, k), "V": (k, r),
                 "Q": (k, q), "Z": (k, r), "A": (p, r), "W": (k, k)}
-    given = {"I": I, "T": T, **vars(f)}
+    given = {"observed": observed, "T": T, **vars(f)}
     for name, shape in expected.items():
         if given[name].shape != shape:
             raise ValueError(f"{name} has shape {given[name].shape}, expected {shape}")
-    return P, I
-
-
-def _observed_columns(I) -> np.ndarray:
-    """The regions with an observed entry; the others add nothing to the
-    reconstruction term, its Grams or its right-hand sides."""
-    return np.flatnonzero(I.any(axis=0))
+    return P, observed
 
 
 def _residuals(QT, f: LatentFactors):
@@ -166,11 +163,10 @@ def _residuals(QT, f: LatentFactors):
     return QT - f.Z, f.Z - f.U.T @ f.A, f.V - f.W @ f.Z
 
 
-def _objective(P, I, QT, q_sq: float, f: LatentFactors,
+def _objective(P, observed, QT, q_sq: float, f: LatentFactors,
                h: Hyperparams) -> tuple[float, dict[str, float]]:
     """The objective with the Q block given as Q T and ||Q||^2."""
-    obs = _observed_columns(I)
-    R = I[:, obs] * (P[:, obs] - f.U @ f.V[:, obs])
+    R = P[:, observed] - f.U @ f.V[:, observed]
     E, S, D = _residuals(QT, f)
     terms = {
         "recon": 0.5 * float((R * R).sum()),
@@ -184,19 +180,21 @@ def _objective(P, I, QT, q_sq: float, f: LatentFactors,
     return sum(terms.values()), terms
 
 
-def objective(P, I, T, f: LatentFactors, h: Hyperparams) -> tuple[float, dict[str, float]]:
+def objective(P, observed, T, f: LatentFactors,
+              h: Hyperparams) -> tuple[float, dict[str, float]]:
     """Total objective and its per-term breakdown."""
-    P, I = _checked(P, I, T, f, h)
-    return _objective(P, I, f.Q @ T, float(np.vdot(f.Q, f.Q)), f, h)
+    P, observed = _checked(P, observed, T, f, h)
+    return _objective(P, observed, f.Q @ T, float(np.vdot(f.Q, f.Q)), f, h)
 
 
-def gradients(P, I, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.ndarray]:
+def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.ndarray]:
     """All six gradient blocks at one point; the A block is the smooth part.
 
-    The objective's reference oracle: `fit` itself needs no gradients.
+    The objective's reference oracle, over every region: `fit` itself
+    needs no gradients.
     """
-    P, I = _checked(P, I, T, f, h)
-    R = I * (P - f.U @ f.V)
+    P, observed = _checked(P, observed, T, f, h)
+    R = (P - f.U @ f.V) * observed
     E, S, D = _residuals(f.Q @ T, f)
     return {
         "U": -R @ f.V.T - h.lambda2 * (f.A @ S.T) + h.lambda5 * f.U,
@@ -238,38 +236,33 @@ def _argmin(H, B, X):
         return X - np.linalg.pinv(H, hermitian=True) @ (H @ X - B)
 
 
-def _masked_grams(I, X):
-    """Stack of G[i] = sum_j I[i, j] x_j x_j^T over the columns x_j of X."""
-    k, n = X.shape
-    outer = (X.T[:, :, None] * X.T[:, None, :]).reshape(n, k * k)
-    return (I @ outer).reshape(len(I), k, k)
+def _update_U(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+    # Every row of U shares the Gram G = V_o V_o^T, so the block is the
+    # Sylvester equation l2 (A A^T) U + U (G + l5 I) = P_o V_o^T + l2 A Z^T,
+    # diagonal in the eigenbases E of A A^T and F of G.  A component whose
+    # coefficient is zero has every term off and keeps its value, as under
+    # a pseudo-inverse; a rank-deficient Gram's zero eigenvalues come out
+    # at rounding level, of either sign, hence the pseudo-inverse cutoff.
+    V = f.V[:, observed]
+    a, E = np.linalg.eigh(f.A @ f.A.T)
+    g, F = np.linalg.eigh(V @ V.T)
+    B = P[:, observed] @ V.T + h.lambda2 * (f.A @ f.Z.T)
+    D = h.lambda2 * a[:, None] + g + h.lambda5
+    U = E.T @ f.U @ F
+    np.divide(E.T @ B @ F, D, out=U, where=D > D.max() * D.size * np.finfo(float).eps)
+    return E @ U @ F.T
 
 
-def _update_U(P, I, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    # The mask gives each row of U its own Gram matrix and U^T A couples
-    # the rows, so the block is one (p k) x (p k) system on U row-major.
-    p, k = f.U.shape
-    obs = _observed_columns(I)
-    I, P, V = I[:, obs], P[:, obs], f.V[:, obs]
-    H = h.lambda2 * np.kron(f.A @ f.A.T, np.eye(k))
-    rows = np.arange(p)
-    H.reshape(p, k, p, k)[rows, :, rows, :] += _masked_grams(I, V)
-    H.flat[::p * k + 1] += h.lambda5
-    B = (I * P) @ V.T + h.lambda2 * (f.A @ f.Z.T)
-    return _argmin(H, B.ravel(), f.U.ravel()).reshape(p, k)
-
-
-def _update_V(P, I, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    # One k x k system per observed region, solved as a batch.  An
-    # unobserved region's system is (l4 + l5) v = l4 (W Z)_j; with no
-    # term on it (l4 + l5 = 0) its column keeps its value.
-    obs = _observed_columns(I)
+def _update_V(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+    # Every observed region's k x k system has the one matrix
+    # U^T U + (l4 + l5) I.  An unobserved region's is (l4 + l5) v = l4 (W Z)_j;
+    # with no term on it (l4 + l5 = 0) its column keeps its value.
     WZ = h.lambda4 * (f.W @ f.Z)
     c = h.lambda4 + h.lambda5
     V = WZ / c if c > 0 else f.V.copy()
-    H = _masked_grams(I[:, obs].T, f.U.T) + c * np.eye(h.k)
-    B = f.U.T @ (I[:, obs] * P[:, obs]) + WZ[:, obs]
-    V[:, obs] = _argmin(H, B.T[:, :, None], f.V[:, obs].T[:, :, None])[:, :, 0].T
+    H = f.U.T @ f.U + c * np.eye(h.k)
+    B = f.U.T @ P[:, observed] + WZ[:, observed]
+    V[:, observed] = _argmin(H, B, f.V[:, observed])
     return V
 
 
@@ -337,7 +330,7 @@ def _update_W(f: LatentFactors, h: Hyperparams) -> np.ndarray:
     return _argmin(H, h.lambda4 * (f.Z @ f.V.T), f.W.T).T
 
 
-def fit(P, I, T, h: Hyperparams,
+def fit(P, observed, T, h: Hyperparams,
         init: LatentFactors | None = None) -> tuple[LatentFactors, FitTrace]:
     """Run block coordinate descent until the objective stalls.
 
@@ -346,13 +339,14 @@ def fit(P, I, T, h: Hyperparams,
     after max_iter sweeps; the floor of 1 lets an objective that falls to
     0 stop too.  A non-finite objective raises DivergenceError.  The trace
     records the initial objective at iteration 0 and one row per sweep.
-    `init` is not modified.
+    `observed` holds one flag per region (column of P).  `init` is not
+    modified.
     """
     P = np.asarray(P, dtype=np.float64)
-    I = np.asarray(I, dtype=np.float64)
+    observed = np.asarray(observed, dtype=bool)
     # every update assigns a new array, so a shallow copy protects init
     f = replace(init) if init is not None else init_factors(*P.shape, T.shape[0], h)
-    total, terms = objective(P, I, T, f, h)
+    total, terms = objective(P, observed, T, f, h)
     if not np.isfinite(total):
         raise DivergenceError("objective is non-finite at the initial factors")
     trace = FitTrace()
@@ -363,14 +357,14 @@ def fit(P, I, T, h: Hyperparams,
     trace.q_factor_s = time.perf_counter() - started
     prev = total
     for it in range(1, h.max_iter + 1):
-        f.U = _update_U(P, I, f, h)
-        f.V = _update_V(P, I, f, h)
+        f.U = _update_U(P, observed, f, h)
+        f.V = _update_V(P, observed, f, h)
         Y, QT = solve_q(f.Z)
         f.Z = _update_Z(QT, f, h)
         f.A = prox_step_A(f, h)
         f.W = _update_W(f, h)
         q_sq = h.lambda1 * float((QT * Y).sum())
-        total, terms = _objective(P, I, QT, q_sq, f, h)
+        total, terms = _objective(P, observed, QT, q_sq, f, h)
         if not np.isfinite(total):
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         trace.append(it, total, terms)
@@ -390,12 +384,11 @@ def fit(P, I, T, h: Hyperparams,
     return f, trace
 
 
-def masked_rmse(P, I, U: np.ndarray, V: np.ndarray) -> float:
-    """Root mean squared reconstruction error over observed entries."""
+def masked_rmse(P, observed, U: np.ndarray, V: np.ndarray) -> float:
+    """Root mean squared reconstruction error over the observed regions."""
     P = np.asarray(P, dtype=np.float64)
-    I = np.asarray(I, dtype=np.float64)
-    n_obs = float(I.sum())
-    if n_obs == 0:
+    observed = np.asarray(observed, dtype=bool)
+    if not observed.any():
         return 0.0
-    R = I * (P - U @ V)
-    return float(np.sqrt((R * R).sum() / n_obs))
+    R = P[:, observed] - U @ V[:, observed]
+    return float(np.sqrt((R * R).mean()))

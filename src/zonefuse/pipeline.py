@@ -97,11 +97,12 @@ def file_sha256(path) -> str:
 
 @contextmanager
 def _reading(*paths: Path):
-    """Map a ValueError or KeyError raised while reading run artifacts to
-    a DataError naming them: such a file is malformed, not the code."""
+    """Map a ValueError, KeyError or TypeError raised while reading run
+    artifacts to a DataError naming them: such a file is malformed, not
+    the code."""
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {' or '.join(map(str, paths))}: {exc}") from exc
 
 
@@ -151,7 +152,9 @@ class Pipeline:
 
     def _load_manifest(self) -> dict:
         """The manifest on disk; an empty one when it is missing, is not
-        JSON or has no stages, so every stage reruns and rewrites it."""
+        JSON or has no stages, so every stage reruns and rewrites it.  A
+        stage entry without dict inputs and outputs is dropped, so that
+        stage reruns."""
         empty = {"config_hash": self.cfg.config_hash(), "stages": {}}
         if not self.manifest_path.exists():
             return empty
@@ -164,6 +167,13 @@ class Pipeline:
             logger.warning("%s is not a readable manifest; treating the stage "
                            "cache as empty", self.manifest_path)
             return empty
+        stages = manifest["stages"]
+        for stage, entry in list(stages.items()):
+            if not (isinstance(entry, dict) and isinstance(entry.get("inputs"), dict)
+                    and isinstance(entry.get("outputs"), dict)):
+                logger.warning("%s has a malformed entry for stage %s; it reruns",
+                               self.manifest_path, stage)
+                del stages[stage]
         return manifest
 
     def _save_manifest(self, manifest: dict) -> None:
@@ -224,7 +234,7 @@ class Pipeline:
         entry = manifest["stages"].get(stage)
         if entry is None:
             return "no entry"
-        recorded = entry.get("inputs", {})
+        recorded = entry["inputs"]
         for name, value in inputs.items():
             if name in recorded and recorded[name] == value:
                 continue
@@ -307,17 +317,26 @@ class Pipeline:
         coo, sidecar = self.out / "hap.coo", self.out / "hap.json"
         with _reading(coo, sidecar):
             hap = HapMatrix.load(coo, sidecar)
-        factors, trace = fit(poi.P, poi.observation_matrix(), hap.data,
-                             self.cfg.hyperparams())
+        factors, trace = fit(poi.P, poi.mask, hap.data, self.cfg.hyperparams())
         # blocks an older version saved; nothing would track them now
         for stale in (self.out / "factors").glob("*.bin"):
             stale.unlink()
         replace(factors, U=None, Q=None, Z=None, A=None, W=None).save(self.out / "factors")
         trace.to_csv(self.out / "trace.csv")
+        # latent columns of venue-free regions collapsing toward zero leave
+        # the clustering one blob of them
+        ratio = None
+        if 0 < poi.mask.sum() < poi.r:
+            norms = np.linalg.norm(factors.V, axis=0)
+            ratio = float(norms[~poi.mask].mean() / norms[poi.mask].mean())
+            if ratio < 1e-2:
+                logger.warning("the latent columns of unobserved regions have %.3g "
+                               "times the mean norm of observed ones", ratio)
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
                 "relative_decrease": trace.relative_decrease,
-                "q_factor": trace.q_factor, "q_factor_s": trace.q_factor_s}
+                "q_factor": trace.q_factor, "q_factor_s": trace.q_factor_s,
+                "unobserved_norm_ratio": ratio}
 
     def _features(self) -> FeatureMatrix:
         kind = self.cfg.feature

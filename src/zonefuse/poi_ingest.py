@@ -190,11 +190,6 @@ class PoiMatrix:
     def n_categories(self) -> int:
         return self.P.shape[0]
 
-    def observation_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix of observed entries: every entry of an observed
-        region, its zero counts included."""
-        return np.tile(self.mask.astype(np.float64), (self.n_categories, 1))
-
     def sparsity(self) -> float:
         return 1.0 - np.count_nonzero(self.P) / float(self.P.size)
 

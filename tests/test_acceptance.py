@@ -60,15 +60,16 @@ def verdict(name: str, ok: bool, detail: str) -> str:
 
 
 def random_instance(seed: int, p: int = 5, r: int = 7, k: int = 3):
-    """A small fusion problem with every term active."""
+    """A small fusion problem with every term active: P, the observed
+    regions and T."""
     rng = np.random.default_rng(seed)
     q = 2 * 24 * r
     P = rng.poisson(3.0, size=(p, r)).astype(np.float64)
-    I = (rng.random((p, r)) < 0.6).astype(np.float64)
+    observed = rng.random(r) < 0.6
     T = sp.random(q, r, density=0.05, format="csr",
                   random_state=np.random.RandomState(seed))
     T.data *= 4.0
-    return P, I, T
+    return P, observed, T
 
 
 def random_factors(seed: int, p: int, r: int, q: int, k: int) -> LatentFactors:
@@ -83,22 +84,22 @@ def random_factors(seed: int, p: int, r: int, q: int, k: int) -> LatentFactors:
     )
 
 
-def smooth_objective(P, I, T, f, h) -> float:
+def smooth_objective(P, observed, T, f, h) -> float:
     """Objective minus the L1 term, the part plain gradients cover."""
-    total, terms = objective(P, I, T, f, h)
+    total, terms = objective(P, observed, T, f, h)
     return total - terms["l1"]
 
 
-def fd_gradient(P, I, T, f, h, name: str, step: float = 1e-5) -> np.ndarray:
+def fd_gradient(P, observed, T, f, h, name: str, step: float = 1e-5) -> np.ndarray:
     arr = getattr(f, name)
     out = np.empty_like(arr)
     flat, oflat = arr.ravel(), out.ravel()
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = smooth_objective(P, I, T, f, h)
+        hi = smooth_objective(P, observed, T, f, h)
         flat[i] = orig - step
-        lo = smooth_objective(P, I, T, f, h)
+        lo = smooth_objective(P, observed, T, f, h)
         flat[i] = orig
         oflat[i] = (hi - lo) / (2.0 * step)
     return out
@@ -108,12 +109,12 @@ def test_01_gradients_match_finite_differences():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        P, I, T = random_instance(seed)
+        P, observed, T = random_instance(seed)
         h = Hyperparams(k=3, seed=seed)
         f = random_factors(seed, P.shape[0], P.shape[1], T.shape[0], 3)
-        analytic = gradients(P, I, T, f, h)
+        analytic = gradients(P, observed, T, f, h)
         for name in ("U", "V", "Q", "Z", "A", "W"):
-            fd = fd_gradient(P, I, T, f, h, name)
+            fd = fd_gradient(P, observed, T, f, h, name)
             rel = np.linalg.norm(fd - analytic[name]) / max(
                 np.linalg.norm(analytic[name]), 1e-12)
             worst = max(worst, rel)
@@ -128,9 +129,9 @@ def test_01_gradients_match_finite_differences():
 def test_02_objective_never_increases():
     worst_rise = -np.inf
     for seed in range(20):
-        P, I, T = random_instance(seed)
+        P, observed, T = random_instance(seed)
         h = Hyperparams(seed=seed, max_iter=500)
-        _, trace = fit(P, I, T, h)
+        _, trace = fit(P, observed, T, h)
         rises = np.diff(np.asarray(trace.totals))
         worst_rise = max(worst_rise, float(rises.max()))
     ok = worst_rise <= 1e-9
@@ -146,12 +147,12 @@ def test_03_masked_factorization_recovers_planted_matrix():
         rng = np.random.default_rng(seed)
         p, r, k = 8, 12, 3
         P = rng.normal(0.0, 1.0, (p, k)) @ rng.normal(0.0, 1.0, (k, r))
-        I = np.ones((p, r))
+        observed = np.ones(r, dtype=bool)
         T = sp.csr_matrix((4, r))
         h = Hyperparams(k=k, lambda1=0.0, lambda2=0.0, lambda3=0.0,
                         lambda4=0.0, lambda5=0.0, max_iter=2000, seed=seed)
-        f, trace = fit(P, I, T, h)
-        worst = max(worst, masked_rmse(P, I, f.U, f.V))
+        f, trace = fit(P, observed, T, h)
+        worst = max(worst, masked_rmse(P, observed, f.U, f.V))
     ok = worst <= 1e-2
     line = verdict("planted low-rank recovery", ok,
                    f"3 planted instances, worst RMSE {worst:.2e} "
@@ -161,7 +162,7 @@ def test_03_masked_factorization_recovers_planted_matrix():
 
 def test_04_prox_step_is_exact_soft_threshold_and_l1_controls_sparsity():
     # with orthonormal-row U (U U^T = I) one A step lands on U Z exactly
-    P, I, T = random_instance(0, p=5, r=7)
+    P, observed, T = random_instance(0, p=5, r=7)
     h = Hyperparams(k=5, lambda2=0.8, lambda3=0.5, seed=0)
     f0 = random_factors(0, 5, 7, T.shape[0], 5)
     f0.U = np.linalg.qr(f0.U)[0]
@@ -173,7 +174,7 @@ def test_04_prox_step_is_exact_soft_threshold_and_l1_controls_sparsity():
     nnzs = []
     for lam3 in (0.01, 0.1, 1.0):
         h = Hyperparams(k=3, lambda3=lam3, max_iter=800, seed=0)
-        f, _ = fit(P, I, T, h)
+        f, _ = fit(P, observed, T, h)
         nnzs.append(int((np.abs(f.A) > 0.0).sum()))
     monotone = nnzs[0] >= nnzs[1] >= nnzs[2]
     ok = exact and monotone
@@ -185,11 +186,11 @@ def test_04_prox_step_is_exact_soft_threshold_and_l1_controls_sparsity():
 
 def test_12_descent_survives_large_activity_counts():
     # week-long traces scale T up; the synth weights must still descend
-    P, I, T = random_instance(0)
+    P, observed, T = random_instance(0)
     T.data *= 400.0
     h = Hyperparams(k=3, lambda1=5e-3, lambda2=1e-3, lambda3=1e-3,
                     lambda4=1.0, lambda5=3.0, epsilon=0.0, max_iter=500)
-    _, trace = fit(P, I, T, h)
+    _, trace = fit(P, observed, T, h)
     totals = np.asarray(trace.totals)
     worst_rise = float(np.diff(totals).max())
     ok = len(totals) == 501 and worst_rise <= 1e-9

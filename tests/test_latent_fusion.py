@@ -23,17 +23,18 @@ from zonefuse.latent_fusion import (
 
 
 def standard_instance(seed, p=5, r=7, k=3, q=336, column_mask=False):
+    """P, the observed-region flags and T; every region is observed
+    unless column_mask draws them."""
     rng = np.random.default_rng(seed)
     P = rng.normal(size=(p, r))
     if column_mask:
-        cols = rng.random(r) < 0.6
-        if not cols.any():
-            cols[0] = True
-        I = np.tile(cols.astype(float), (p, 1))
+        observed = rng.random(r) < 0.6
+        if not observed.any():
+            observed[0] = True
     else:
-        I = np.ones((p, r))
+        observed = np.ones(r, dtype=bool)
     T = rng.poisson(0.05, size=(q, r)).astype(float)
-    return P, I, T
+    return P, observed, T
 
 
 def diagonal_activity(seed, r=40, q=48):
@@ -57,12 +58,12 @@ def random_factors(seed, p, r, k, q, scale=0.5):
     )
 
 
-def fd_block_gradient(P, I, T, f, h, name, step=1e-6):
+def fd_block_gradient(P, observed, T, f, h, name, step=1e-6):
     """Central finite differences of the smooth objective for one block."""
     X = getattr(f, name)
     G = np.zeros_like(X)
     def smooth():
-        total, terms = objective(P, I, T, f, h)
+        total, terms = objective(P, observed, T, f, h)
         return total - terms["l1"]
     for idx in np.ndindex(X.shape):
         old = X[idx]
@@ -99,7 +100,7 @@ class TestObjective:
         h = Hyperparams(k=3)
         f = LatentFactors(U=np.zeros((4, 3)), V=np.zeros((3, 6)), Q=np.zeros((3, 10)),
                           Z=np.zeros((3, 6)), A=np.zeros((4, 6)), W=np.zeros((3, 3)))
-        total, terms = objective(np.zeros((4, 6)), np.ones((4, 6)),
+        total, terms = objective(np.zeros((4, 6)), np.ones(6, dtype=bool),
                                  np.zeros((10, 6)), f, h)
         assert total == 0.0
         assert all(v == 0.0 for v in terms.values())
@@ -110,7 +111,7 @@ class TestObjective:
         U[0, 0] = 3.0  # ||U||^2 = 9
         f = LatentFactors(U=U, V=np.zeros((3, 6)), Q=np.zeros((3, 10)),
                           Z=np.zeros((3, 6)), A=np.zeros((4, 6)), W=np.zeros((3, 3)))
-        total, terms = objective(np.zeros((4, 6)), np.ones((4, 6)),
+        total, terms = objective(np.zeros((4, 6)), np.ones(6, dtype=bool),
                                  np.zeros((10, 6)), f, h)
         assert total == pytest.approx(9.0)
         assert terms["ridge"] == pytest.approx(9.0)
@@ -119,12 +120,12 @@ class TestObjective:
         p, r, k, q = 4, 6, 2, 9
         rng = np.random.default_rng(3)
         P = rng.normal(size=(p, r))
-        I = (rng.random((p, r)) < 0.7).astype(float)
+        observed = rng.random(r) < 0.7
         T = rng.normal(size=(q, r))
         f = random_factors(4, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.7, lambda2=1.3, lambda3=0.2,
                         lambda4=0.9, lambda5=0.05)
-        total, terms = objective(P, I, T, f, h)
+        total, terms = objective(P, observed, T, f, h)
 
         recon = transform = z_recon = l1 = regression = ridge = 0.0
         UV = f.U @ f.V
@@ -133,7 +134,8 @@ class TestObjective:
         WZ = f.W @ f.Z
         for i in range(p):
             for j in range(r):
-                recon += 0.5 * (I[i, j] * (P[i, j] - UV[i, j])) ** 2
+                if observed[j]:
+                    recon += 0.5 * (P[i, j] - UV[i, j]) ** 2
                 l1 += h.lambda3 * abs(f.A[i, j])
         for i in range(k):
             for j in range(r):
@@ -151,65 +153,77 @@ class TestObjective:
         assert total == pytest.approx(sum(terms.values()), rel=1e-12)
 
     def test_sparse_and_dense_T_agree(self):
-        P, I, T = standard_instance(5)
+        P, observed, T = standard_instance(5)
         f = random_factors(6, 5, 7, 3, 336)
         h = Hyperparams(k=3)
-        dense_total, _ = objective(P, I, T, f, h)
-        sparse_total, _ = objective(P, I, sp.csr_array(T), f, h)
+        dense_total, _ = objective(P, observed, T, f, h)
+        sparse_total, _ = objective(P, observed, sp.csr_array(T), f, h)
         assert sparse_total == pytest.approx(dense_total, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         h = Hyperparams(k=3)
         f = random_factors(0, 5, 7, 3, 336)
-        P, I, T = standard_instance(0)
+        P, observed, T = standard_instance(0)
+        with pytest.raises(ValueError, match="observed"):
+            objective(P, observed[:5], T, f, h)
         with pytest.raises(ValueError):
-            objective(P, I[:, :5], T, f, h)
-        with pytest.raises(ValueError):
-            objective(P, I, T[:, :5], f, h)
+            objective(P, observed, T[:, :5], f, h)
+
+    def test_entry_mask_rejected(self):
+        # one flag per region: a categories x regions mask is refused,
+        # not broadcast
+        P, observed, T = standard_instance(1)
+        I = np.tile(observed, (P.shape[0], 1))
+        h = Hyperparams(k=3, max_iter=5)
+        with pytest.raises(ValueError, match=r"observed has shape \(5, 7\), expected \(7,\)"):
+            fit(P, I, T, h)
+        with pytest.raises(ValueError, match="observed"):
+            gradients(P, I, T, random_factors(1, 5, 7, 3, 336), h)
 
 
 class TestGradients:
     @pytest.mark.parametrize("column_mask", [False, True])
     def test_matches_finite_differences(self, column_mask):
         p, r, k, q = 5, 7, 3, 30
-        P, I, _ = standard_instance(11, p=p, r=r, k=k, q=q, column_mask=column_mask)
+        P, observed, _ = standard_instance(11, p=p, r=r, k=k, q=q, column_mask=column_mask)
         rng = np.random.default_rng(12)
         T = rng.poisson(0.2, size=(q, r)).astype(float)
         f = random_factors(13, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=0.7, lambda5=0.02)
-        g = gradients(P, I, T, f, h)
+        g = gradients(P, observed, T, f, h)
         for name in FACTOR_NAMES:
-            fd = fd_block_gradient(P, I, T, f, h, name)
+            fd = fd_block_gradient(P, observed, T, f, h, name)
             rel = np.linalg.norm(fd - g[name]) / max(np.linalg.norm(g[name]), 1e-12)
             assert rel <= 1e-4, f"block {name}: relative error {rel}"
 
     def test_zero_factors_are_stationary(self):
-        P, I, T = standard_instance(14)
+        P, observed, T = standard_instance(14)
         h = Hyperparams(k=3)
         f = LatentFactors(U=np.zeros((5, 3)), V=np.zeros((3, 7)), Q=np.zeros((3, 336)),
                           Z=np.zeros((3, 7)), A=np.zeros((5, 7)), W=np.zeros((3, 3)))
-        g = gradients(P, I, T, f, h)
+        g = gradients(P, observed, T, f, h)
         for name in FACTOR_NAMES:
             assert np.all(g[name] == 0.0), name
 
     def test_masked_reconstruction_only(self):
         # with every other lambda zero the U gradient is the masked residual form
         p, r, k, q = 5, 7, 3, 30
-        P, I, T = standard_instance(15, q=q)
+        P, observed, T = standard_instance(15, q=q, column_mask=True)
         f = random_factors(16, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0, lambda2=0, lambda3=0, lambda4=0, lambda5=0)
-        g = gradients(P, I, T, f, h)
-        expected = -(I * (P - f.U @ f.V)) @ f.V.T
-        assert np.allclose(g["U"], expected, atol=1e-12)
-        assert np.allclose(g["V"], -f.U.T @ (I * (P - f.U @ f.V)), atol=1e-12)
+        g = gradients(P, observed, T, f, h)
+        R = P[:, observed] - f.U @ f.V[:, observed]
+        assert np.allclose(g["U"], -R @ f.V[:, observed].T, atol=1e-12)
+        assert np.allclose(g["V"][:, observed], -f.U.T @ R, atol=1e-12)
+        assert np.all(g["V"][:, ~observed] == 0.0)
 
     def test_sparse_T_agrees_with_dense(self):
-        P, I, T = standard_instance(17)
+        P, observed, T = standard_instance(17)
         f = random_factors(18, 5, 7, 3, 336)
         h = Hyperparams(k=3)
-        gd = gradients(P, I, T, f, h)
-        gs = gradients(P, I, sp.csr_array(T), f, h)
+        gd = gradients(P, observed, T, f, h)
+        gs = gradients(P, observed, sp.csr_array(T), f, h)
         for name in FACTOR_NAMES:
             assert np.allclose(gd[name], gs[name], atol=1e-12)
 
@@ -219,18 +233,18 @@ class TestFit:
         rng = np.random.default_rng(42)
         p, r, k = 20, 30, 4
         P = rng.normal(size=(p, k)) @ rng.normal(size=(k, r))
-        I = np.ones((p, r))
+        observed = np.ones(r, dtype=bool)
         T = np.zeros((10, r))
         h = Hyperparams(k=k, lambda1=0, lambda2=0, lambda3=0, lambda4=0,
                         lambda5=1e-6, epsilon=0.0, max_iter=2000, seed=1)
-        f, trace = fit(P, I, T, h)
-        assert masked_rmse(P, I, f.U, f.V) < 1e-2
+        f, trace = fit(P, observed, T, h)
+        assert masked_rmse(P, observed, f.U, f.V) < 1e-2
 
     def test_descent_with_default_hyperparams(self):
         for seed in range(4):
-            P, I, T = standard_instance(seed, column_mask=(seed % 2 == 1))
+            P, observed, T = standard_instance(seed, column_mask=(seed % 2 == 1))
             h = Hyperparams(k=3, seed=seed, max_iter=500, epsilon=0.0)
-            _, trace = fit(P, I, T, h)
+            _, trace = fit(P, observed, T, h)
             diffs = np.diff(trace.totals)
             assert np.all(diffs <= 1e-9)
 
@@ -240,13 +254,13 @@ class TestFit:
         # Re-running with growing max_iter snapshots the same trajectory.
         p, r, q = 4, 6, 20
         P = np.zeros((p, r))
-        I = np.ones((p, r))
+        observed = np.ones(r, dtype=bool)
         T = np.zeros((q, r))
         prev = None
         for m in range(1, 12):
             h = Hyperparams(k=2, lambda2=0.0, lambda4=0.0, max_iter=m,
                             epsilon=0.0, seed=3)
-            f, _ = fit(P, I, T, h, init=init_factors(p, r, q, h))
+            f, _ = fit(P, observed, T, h, init=init_factors(p, r, q, h))
             norms = {n: float(np.linalg.norm(getattr(f, n))) for n in FACTOR_NAMES}
             if prev is not None:
                 for n in FACTOR_NAMES:
@@ -254,7 +268,7 @@ class TestFit:
             prev = norms
         h = Hyperparams(k=2, lambda2=0.0, lambda4=0.0, max_iter=2000,
                         epsilon=0.0, seed=3)
-        _, trace = fit(P, I, T, h, init=init_factors(4, 6, 20, h))
+        _, trace = fit(P, observed, T, h, init=init_factors(4, 6, 20, h))
         assert trace.totals[-1] < 1e-2 * trace.totals[0]
 
     def test_proximal_step_is_exact_soft_threshold_when_decoupled(self):
@@ -270,25 +284,25 @@ class TestFit:
         assert 0 < (A == 0.0).sum() < A.size
 
     def test_sparsity_of_A_non_increasing_in_l1_weight(self):
-        P, I, T = standard_instance(24)
+        P, observed, T = standard_instance(24)
         nnzs = []
         for lam3 in (0.01, 0.1, 1.0):
             h = Hyperparams(k=3, lambda3=lam3, max_iter=400, epsilon=0.0, seed=5)
-            f, _ = fit(P, I, T, h)
+            f, _ = fit(P, observed, T, h)
             nnzs.append(int((f.A != 0.0).sum()))
         assert nnzs[0] >= nnzs[1] >= nnzs[2]
 
     def test_strong_l1_zeros_A_exactly(self):
-        P, I, T = standard_instance(25)
+        P, observed, T = standard_instance(25)
         h = Hyperparams(k=3, lambda3=50.0, max_iter=50, epsilon=0.0, seed=6)
-        f, _ = fit(P, I, T, h)
+        f, _ = fit(P, observed, T, h)
         assert np.all(f.A == 0.0)
 
     def test_non_finite_data_raises(self):
-        P, I, T = standard_instance(26)
+        P, observed, T = standard_instance(26)
         P[0, 0] = np.inf
         with pytest.raises(DivergenceError, match="initial factors"):
-            fit(P, I, T, Hyperparams(k=3, max_iter=50))
+            fit(P, observed, T, Hyperparams(k=3, max_iter=50))
 
     @pytest.mark.parametrize("column_mask, activity", [
         pytest.param(False, "dense", id="False"),
@@ -305,52 +319,52 @@ class TestFit:
         else:
             p, r, k, q = 5, 40, 3, 48
             T = diagonal_activity(37, r, q)
-        P, I, _ = standard_instance(36, p=p, r=r, k=k, column_mask=column_mask)
+        P, observed, _ = standard_instance(36, p=p, r=r, k=k, column_mask=column_mask)
         f = random_factors(38, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=0.7, lambda5=0.02)
-        f.U = latent_fusion._update_U(P, I, f, h)
-        f.V = latent_fusion._update_V(P, I, f, h)
+        f.U = latent_fusion._update_U(P, observed, f, h)
+        f.V = latent_fusion._update_V(P, observed, f, h)
         name, solve_q = latent_fusion._q_solver(T, h)
         assert name == {"dense": "cholesky", "diagonal": "splu"}[activity]
         Y, QT = solve_q(f.Z)
         f.Q = h.lambda1 * Y @ T.T
         assert np.allclose(QT, f.Q @ T, atol=1e-10)
-        g_q = gradients(P, I, T, f, h)["Q"]
+        g_q = gradients(P, observed, T, f, h)["Q"]
         f.Z = latent_fusion._update_Z(QT, f, h)
-        g_z = gradients(P, I, T, f, h)["Z"]
+        g_z = gradients(P, observed, T, f, h)["Z"]
         f.W = latent_fusion._update_W(f, h)
-        g = gradients(P, I, T, f, h)
+        g = gradients(P, observed, T, f, h)
         for name, grad in (("Q", g_q), ("Z", g_z), ("W", g["W"])):
             assert np.abs(grad).max() < 1e-10, name
-        f.U = latent_fusion._update_U(P, I, f, h)
-        assert np.abs(gradients(P, I, T, f, h)["U"]).max() < 1e-10
-        f.V = latent_fusion._update_V(P, I, f, h)
-        assert np.abs(gradients(P, I, T, f, h)["V"]).max() < 1e-10
+        f.U = latent_fusion._update_U(P, observed, f, h)
+        assert np.abs(gradients(P, observed, T, f, h)["U"]).max() < 1e-10
+        f.V = latent_fusion._update_V(P, observed, f, h)
+        assert np.abs(gradients(P, observed, T, f, h)["V"]).max() < 1e-10
 
     def test_blocks_without_terms_keep_their_value(self):
         p, r, k, q = 4, 6, 2, 8
-        P, I, T = standard_instance(39, p=p, r=r, k=k, q=q)
+        P, observed, T = standard_instance(39, p=p, r=r, k=k, q=q)
         init = random_factors(40, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.0, lambda2=0.0, lambda3=0.0,
                         lambda4=0.0, lambda5=0.0, max_iter=5)
-        f, trace = fit(P, I, T, h, init=init)
+        f, trace = fit(P, observed, T, h, init=init)
         for name in ("Q", "Z", "A", "W"):
             assert np.array_equal(getattr(f, name), getattr(init, name)), name
         assert np.all(np.diff(trace.totals) <= 1e-12)
         # the L1 term alone is minimised by A = 0
-        f, _ = fit(P, I, T, Hyperparams(k=k, lambda2=0.0, lambda3=0.1,
+        f, _ = fit(P, observed, T, Hyperparams(k=k, lambda2=0.0, lambda3=0.1,
                                         max_iter=1), init=init)
         assert np.all(f.A == 0.0)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_zero_ridge_takes_least_norm_q(self, sparse):
         # lambda5 = 0 with an activity-free region: T^T T is singular
-        P, I, T = standard_instance(41)
+        P, observed, T = standard_instance(41)
         T[:, 2] = 0.0
         T = sp.csr_array(T) if sparse else T
         h = Hyperparams(k=3, lambda5=0.0, max_iter=100, epsilon=0.0, seed=2)
-        f, trace = fit(P, I, T, h)
+        f, trace = fit(P, observed, T, h)
         assert np.all(np.isfinite(f.Q))
         assert np.all(np.diff(trace.totals) <= 1e-9)
         # Q = l1 Y T^T zeroes the Q gradient; least norm puts no weight on
@@ -370,131 +384,153 @@ class TestFit:
         def refuse(*args, **kwargs):
             raise AssertionError("factorization chosen against the density of M")
         h = Hyperparams(k=3, max_iter=5)
-        P, I, T = standard_instance(45)
+        P, observed, T = standard_instance(45)
         with monkeypatch.context() as m:
             m.setattr(scipy.sparse.linalg, "splu", refuse)
-            _, trace = fit(P, I, T, h)
+            _, trace = fit(P, observed, T, h)
         assert trace.q_factor == "cholesky"
         assert trace.q_factor_s >= 0.0
         T = diagonal_activity(46)
-        P, I, _ = standard_instance(47, r=T.shape[1])
+        P, observed, _ = standard_instance(47, r=T.shape[1])
         monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
-        _, trace = fit(P, I, T, h)
+        _, trace = fit(P, observed, T, h)
         assert trace.q_factor == "splu"
 
     def test_max_iter_stop_logs_warning(self, caplog):
-        P, I, T = standard_instance(42)
+        P, observed, T = standard_instance(42)
         with caplog.at_level(logging.WARNING, logger="zonefuse.latent_fusion"):
-            _, trace = fit(P, I, T, Hyperparams(k=3, max_iter=3))
+            _, trace = fit(P, observed, T, Hyperparams(k=3, max_iter=3))
         assert trace.stop_reason == "max_iter"
         assert "max_iter" in caplog.text
         assert trace.relative_decrease > 0
 
     def test_deterministic_given_seed(self):
-        P, I, T = standard_instance(27)
+        P, observed, T = standard_instance(27)
         h = Hyperparams(k=3, seed=9, max_iter=100, epsilon=0.0)
-        f1, t1 = fit(P, I, T, h)
-        f2, t2 = fit(P, I, T, h)
+        f1, t1 = fit(P, observed, T, h)
+        f2, t2 = fit(P, observed, T, h)
         for name in FACTOR_NAMES:
             assert np.array_equal(getattr(f1, name), getattr(f2, name))
         assert t1.totals == t2.totals
 
     def test_sparse_T_fit_matches_dense(self):
-        P, I, T = standard_instance(30)
+        P, observed, T = standard_instance(30)
         h = Hyperparams(k=3, max_iter=60, epsilon=0.0, seed=4)
-        fd, _ = fit(P, I, T, h)
-        fs, _ = fit(P, I, sp.csr_array(T), h)
+        fd, _ = fit(P, observed, T, h)
+        fs, _ = fit(P, observed, sp.csr_array(T), h)
         for name in FACTOR_NAMES:
             assert np.allclose(getattr(fd, name), getattr(fs, name), atol=1e-10)
 
     def test_converged_stop_reason(self):
-        P, I, T = standard_instance(31)
+        P, observed, T = standard_instance(31)
         h = Hyperparams(k=3, epsilon=1e-4, max_iter=2000, seed=7)
-        _, trace = fit(P, I, T, h)
+        _, trace = fit(P, observed, T, h)
         assert trace.stop_reason == "converged"
         assert trace.iters[-1] < 2000
 
     def test_stop_rule_is_relative_to_the_objective(self):
         # the objective here ends near 1.5, so an absolute bound of
         # epsilon would stop about 30 sweeps later
-        P, I, T = standard_instance(31)
+        P, observed, T = standard_instance(31)
         eps = 1e-5
-        _, full = fit(P, I, T, Hyperparams(k=3, epsilon=0.0, max_iter=300, seed=7))
+        _, full = fit(P, observed, T, Hyperparams(k=3, epsilon=0.0, max_iter=300, seed=7))
         prev, cur = np.array(full.totals[:-1]), np.array(full.totals[1:])
         meets = (prev - cur >= 0) & (prev - cur <= eps * np.maximum(np.abs(prev), 1.0))
         first = int(np.argmax(meets)) + 1
         assert meets.any() and first < 300
-        _, trace = fit(P, I, T, Hyperparams(k=3, epsilon=eps, max_iter=300, seed=7))
+        _, trace = fit(P, observed, T, Hyperparams(k=3, epsilon=eps, max_iter=300, seed=7))
         assert trace.stop_reason == "converged"
         assert trace.iters[-1] == first
         assert trace.totals == full.totals[:first + 1]
 
 
-def full_width_update_U(P, I, f, h):
-    """_update_U over every region, unobserved ones included."""
+def full_width_update_U(P, observed, f, h):
+    """_update_U as one dense (p k) x (p k) system on U row-major over the
+    tiled mask, each row of U with its own masked Gram."""
     p, k = f.U.shape
-    H = h.lambda2 * np.kron(f.A @ f.A.T, np.eye(k))
-    rows = np.arange(p)
-    H.reshape(p, k, p, k)[rows, :, rows, :] += latent_fusion._masked_grams(I, f.V)
-    H.flat[::p * k + 1] += h.lambda5
+    I = np.tile(observed.astype(float), (p, 1))
+    H = h.lambda2 * np.kron(f.A @ f.A.T, np.eye(k)) + h.lambda5 * np.eye(p * k)
+    for i in range(p):
+        H[i * k:(i + 1) * k, i * k:(i + 1) * k] += (f.V * I[i]) @ f.V.T
     B = (I * P) @ f.V.T + h.lambda2 * (f.A @ f.Z.T)
     return latent_fusion._argmin(H, B.ravel(), f.U.ravel()).reshape(p, k)
 
 
-def full_width_update_V(P, I, f, h):
-    """_update_V as one batch over every region, unobserved ones included."""
-    H = latent_fusion._masked_grams(I.T, f.U.T) + (h.lambda4 + h.lambda5) * np.eye(h.k)
-    B = f.U.T @ (I * P) + h.lambda4 * (f.W @ f.Z)
-    return latent_fusion._argmin(H, B.T[:, :, None], f.V.T[:, :, None])[:, :, 0].T
+def full_width_update_V(P, observed, f, h):
+    """_update_V as one k x k solve per region over the tiled mask,
+    unobserved regions included."""
+    I = np.tile(observed.astype(float), (P.shape[0], 1))
+    WZ = h.lambda4 * (f.W @ f.Z)
+    V = np.empty_like(f.V)
+    for j in range(P.shape[1]):
+        H = (f.U.T * I[:, j]) @ f.U + (h.lambda4 + h.lambda5) * np.eye(h.k)
+        b = f.U.T @ (I[:, j] * P[:, j]) + WZ[:, j]
+        V[:, j] = latent_fusion._argmin(H, b, f.V[:, j])
+    return V
 
 
-def full_width_recon(P, I, f):
-    R = I * (P - f.U @ f.V)
+def full_width_recon(P, observed, f):
+    R = (P - f.U @ f.V) * observed
     return 0.5 * float((R * R).sum())
 
 
 class TestObservedColumnSweep:
-    """The updates and objective that skip unobserved regions against
-    the full-width formulas."""
+    """The updates through one shared Gram each, and the objective over
+    the observed columns, against the full-width formulations."""
 
     @staticmethod
-    def masks(P, rng):
-        p, r = P.shape
-        cols = rng.random(r) < 0.5
-        cols[:2] = True, False
-        entries = (rng.random((p, r)) < 0.4) & cols
-        return {"column": np.tile(cols.astype(float), (p, 1)),
-                "elementwise": entries.astype(float),
-                "none observed": np.zeros((p, r))}
+    def masks(r, rng):
+        observed = rng.random(r) < 0.5
+        observed[:2] = True, False
+        return {"column": observed, "none observed": np.zeros(r, dtype=bool)}
 
-    @pytest.mark.parametrize("mask", ["column", "elementwise", "none observed"])
+    @pytest.mark.parametrize("mask", ["column", "none observed"])
     @pytest.mark.parametrize("lambdas", [(0.7, 0.02), (1.0, 3.0), (0.0, 0.0)])
     def test_matches_full_width_formulas(self, mask, lambdas):
         p, r, k, q = 6, 11, 3, 20
         rng = np.random.default_rng(43)
         P = rng.poisson(1.5, size=(p, r)).astype(float)
-        I = self.masks(P, rng)[mask]
+        observed = self.masks(r, rng)[mask]
         T = rng.poisson(0.2, size=(q, r)).astype(float)
         f = random_factors(44, p, r, k, q)
         lambda4, lambda5 = lambdas
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=lambda4, lambda5=lambda5)
-        assert np.allclose(latent_fusion._update_U(P, I, f, h),
-                           full_width_update_U(P, I, f, h), rtol=1e-10, atol=1e-12)
-        V = latent_fusion._update_V(P, I, f, h)
-        assert np.allclose(V, full_width_update_V(P, I, f, h), rtol=1e-10, atol=1e-12)
-        unobserved = ~I.any(axis=0)
+        assert np.allclose(latent_fusion._update_U(P, observed, f, h),
+                           full_width_update_U(P, observed, f, h), rtol=1e-10, atol=1e-12)
+        V = latent_fusion._update_V(P, observed, f, h)
+        assert np.allclose(V, full_width_update_V(P, observed, f, h),
+                           rtol=1e-10, atol=1e-12)
         if lambda4 + lambda5 == 0:
-            assert np.array_equal(V[:, unobserved], f.V[:, unobserved])
-        _, terms = latent_fusion._objective(P, I, f.Q @ T, 0.0, f, h)
-        assert terms["recon"] == pytest.approx(full_width_recon(P, I, f), rel=1e-12)
+            assert np.array_equal(V[:, ~observed], f.V[:, ~observed])
+        _, terms = latent_fusion._objective(P, observed, f.Q @ T, 0.0, f, h)
+        assert terms["recon"] == pytest.approx(full_width_recon(P, observed, f), rel=1e-12)
+
+    def test_U_components_without_terms_keep_their_value(self):
+        # l2 = l5 = 0 and one observed region for k = 3: G = v v^T has
+        # rank 1, so U moves only along v and keeps its other components
+        p, r, k, q = 4, 6, 3, 8
+        rng = np.random.default_rng(48)
+        P = rng.normal(size=(p, r))
+        observed = np.zeros(r, dtype=bool)
+        f = random_factors(49, p, r, k, q)
+        h = Hyperparams(k=k, lambda2=0.0, lambda5=0.0)
+        # the rotations into and out of the eigenbases round only
+        assert np.allclose(latent_fusion._update_U(P, observed, f, h), f.U,
+                           rtol=0.0, atol=1e-14)
+        observed[2] = True
+        U = latent_fusion._update_U(P, observed, f, h)
+        v = f.V[:, 2]
+        assert np.allclose(U @ v, P[:, 2], atol=1e-12)
+        null = np.linalg.svd(v[None, :])[2][1:].T  # k x (k - 1), orthogonal to v
+        assert np.allclose(U @ null, f.U @ null, atol=1e-12)
 
 
 class TestTraceAndPersistence:
     def test_trace_structure(self):
-        P, I, T = standard_instance(32)
+        P, observed, T = standard_instance(32)
         h = Hyperparams(k=3, max_iter=20, epsilon=0.0, seed=8)
-        _, trace = fit(P, I, T, h)
+        _, trace = fit(P, observed, T, h)
         assert trace.iters == list(range(21))
         assert len(trace.totals) == len(trace.terms) == 21
         for total, terms in zip(trace.totals, trace.terms):
@@ -502,9 +538,9 @@ class TestTraceAndPersistence:
             assert set(terms) == set(TERM_NAMES)
 
     def test_trace_csv(self, tmp_path):
-        P, I, T = standard_instance(33)
+        P, observed, T = standard_instance(33)
         h = Hyperparams(k=3, max_iter=5, epsilon=0.0)
-        _, trace = fit(P, I, T, h)
+        _, trace = fit(P, observed, T, h)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()

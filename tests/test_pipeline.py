@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zonefuse.latent_fusion
 import zonefuse.pipeline
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import ConfigError, DataError
@@ -15,7 +16,7 @@ from zonefuse.geo_grid import GridIndex, decode
 from zonefuse.latent_fusion import TERM_NAMES, LatentFactors
 from zonefuse.pipeline import (CLUSTER_METHOD_OUTPUTS, STAGE_IO, STAGE_OUTPUTS,
                                STAGES, Pipeline, export_geojson, file_sha256, run)
-from zonefuse.poi_ingest import DEFAULT_CATEGORIES
+from zonefuse.poi_ingest import DEFAULT_CATEGORIES, PoiMatrix
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
 from zonefuse.zone_cluster import load_labels
 
@@ -76,6 +77,38 @@ class TestFullRun:
         assert notes["stop_reason"] in ("converged", "max_iter")
         assert notes["q_factor"] in ("cholesky", "splu", "pinv")
         assert notes["q_factor_s"] >= 0.0
+
+    def test_fit_notes_carry_the_unobserved_norm_ratio(self, city, caplog):
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            ratio = run(variant(city, "ratio"))["stages"]["fit"]["notes"][
+                "unobserved_norm_ratio"]
+        out = city / "ratio"
+        observed = PoiMatrix.load(out / "poi.coo", out / "poi.json").mask
+        norms = np.linalg.norm(LatentFactors.load(out / "factors").V, axis=0)
+        assert 0 < observed.sum() < 64
+        assert ratio == pytest.approx(norms[~observed].mean() / norms[observed].mean(),
+                                      rel=1e-12)
+        assert ("latent columns of unobserved" in caplog.text) == (ratio < 1e-2)
+
+    def test_collapsed_unobserved_columns_warn(self, city, caplog, monkeypatch):
+        def collapsing_fit(P, observed, T, h):
+            factors, trace = zonefuse.latent_fusion.fit(P, observed, T, h)
+            factors.V = np.where(observed, 1.0, 1e-3) * np.ones_like(factors.V)
+            return factors, trace
+        monkeypatch.setattr(zonefuse.pipeline, "fit", collapsing_fit)
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            notes = run(variant(city, "collapsed"))["stages"]["fit"]["notes"]
+        assert notes["unobserved_norm_ratio"] == pytest.approx(1e-3, rel=1e-12)
+        assert "latent columns of unobserved regions have 0.001 times" in caplog.text
+
+    def test_unobserved_norm_ratio_needs_both_region_sets(self, city, tmp_path, caplog):
+        inputs = own_inputs(city, tmp_path)
+        pois = tmp_path / "pois.csv"
+        pois.write_text(pois.read_text().splitlines(keepends=True)[0])  # header only
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            notes = run(variant(city, "novenues", **inputs))["stages"]["fit"]["notes"]
+        assert notes["unobserved_norm_ratio"] is None
+        assert "latent columns" not in caplog.text
 
     @pytest.mark.parametrize("method,feature", [("crf", "latent_v"),
                                                 ("kmeans", "raw_poi")])
@@ -337,6 +370,31 @@ class TestStageCache:
                     assert (out / rel).read_bytes() == \
                         (city / (name + "_fresh") / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("name,entry", [
+        ("entry_not_dict", 5),
+        ("entry_no_outputs", "drop outputs"),
+    ])
+    def test_malformed_stage_entry_marks_that_stage_stale(self, city, caplog,
+                                                          name, entry):
+        cfg = variant(city, name)
+        run(cfg)
+        path = city / name / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if entry == "drop outputs":
+            del manifest["stages"]["fit"]["outputs"]
+        else:
+            manifest["stages"]["fit"] = entry
+        path.write_text(json.dumps(manifest))
+        with caplog.at_level("WARNING", logger="zonefuse.pipeline"):
+            status = Pipeline(cfg).status()
+        assert status["fit"] == "no entry"
+        assert all(status[stage] is None for stage in STAGES if stage != "fit")
+        assert "malformed entry for stage fit" in caplog.text
+        entry = Pipeline(cfg).run_stage("fit")
+        assert set(entry["outputs"]) == set(STAGE_OUTPUTS["fit"])
+        assert json.loads(path.read_text())["stages"]["fit"] == entry
+        assert all(reason is None for reason in Pipeline(cfg).status().values())
+
     def test_fit_entry_recording_mask_mode_is_fresh(self, city):
         # an output directory built when fit still read a mask_mode key
         cfg = variant(city, "maskmode", method="crf", feature="latent_v")
@@ -404,9 +462,14 @@ class TestFeatureAndMethodVariants:
     def test_shapes_without_V_is_a_data_error(self, city):
         cfg = variant(city, "nov", method="crf", feature="latent_v")
         run(cfg)
-        (city / "nov" / "factors" / "shapes.json").write_text('{"shapes": {}}\n')
-        with pytest.raises(DataError, match="malformed .*shapes.json"):
-            Pipeline(cfg).run_stage("cluster")
+        shapes = city / "nov" / "factors" / "shapes.json"
+        for text in ('{"shapes": {}}\n', '{"shapes": {"V": 5}}\n'):
+            shapes.write_text(text)
+            with pytest.raises(DataError, match="malformed .*shapes.json"):
+                Pipeline(cfg).run_stage("cluster")
+        (city / "nov" / "poi.json").write_text("[]\n")
+        with pytest.raises(DataError, match="malformed .*poi.json"):
+            Pipeline(cfg).run_stage("fit")
 
     @pytest.mark.parametrize("method,feature", [("crf", "latent_v"),
                                                 ("kmeans", "raw_poi")])

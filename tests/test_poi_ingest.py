@@ -165,13 +165,6 @@ class TestPoiMatrix:
         assert poi.P.dtype == np.float64
 
 
-class TestObservationMatrix:
-    def test_column_mode_includes_zeros_of_observed_regions(self):
-        poi = make_poi_matrix([[2, 0, 0], [0, 0, 0]])
-        I = poi.observation_matrix()
-        assert np.array_equal(I, [[1, 0, 0], [1, 0, 0]])
-
-
 def oracle_tfidf(P):
     """Definition-by-loops TF-IDF for comparison."""
     P = np.asarray(P, dtype=float)
