@@ -22,16 +22,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from itertools import chain, compress, islice, repeat
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .geo_grid import EARTH_RADIUS_M, GeoPoint, GridIndex, haversine_m
-from .sparse_io import load_coo, save_coo
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .sparse_io import CooMatrix, read_coo, save_coo
 
 logger = logging.getLogger(__name__)
 
@@ -437,7 +434,7 @@ class HapMatrix:
     region.
     """
 
-    data: sp.csr_array
+    data: CooMatrix
     r: int
     tz: str = "UTC"
     s: ClassVar[int] = HOURS_PER_DAY
@@ -446,15 +443,6 @@ class HapMatrix:
     @property
     def q(self) -> int:
         return 2 * self.s * self.r
-
-    def row_index(self, kind: str, hour: int, origin: int) -> int:
-        if kind not in self.kinds:
-            raise ValueError(f"unknown kind {kind!r}")
-        if not 0 <= hour < self.s:
-            raise ValueError(f"hour {hour} outside [0, {self.s})")
-        if not 0 <= origin < self.r:
-            raise ValueError(f"origin {origin} outside [0, {self.r})")
-        return self.kinds.index(kind) * self.s * self.r + hour * self.r + origin
 
     def sparsity(self) -> float:
         return 1.0 - self.data.nnz / float(self.q * self.r)
@@ -475,7 +463,8 @@ class HapMatrix:
             raise ValueError(f"{sidecar_path}: layout s={meta['s']}, kinds="
                              f"{meta['kinds']} differs from s={cls.s}, "
                              f"kinds={list(cls.kinds)}")
-        data = load_coo(coo_path, (meta["q"], meta["r"]))
+        shape = (meta["q"], meta["r"])
+        data = CooMatrix.from_triples(*read_coo(coo_path, shape), shape)
         return cls(data=data, r=meta["r"], tz=meta["timezone"])
 
 
@@ -500,8 +489,5 @@ def build_hap_matrix(trips: np.ndarray, r: int, tz: str = "UTC") -> HapMatrix:
                          f"outside [0, {r}) or a time that is not a date")
     hour, _ = local_hour_weekday(t, zone)
     rows = kind * (s * r) + hour * r + origin
-    # imported here: scipy.sparse takes longer to import than a cached rerun
-    # takes to run, and only the stages that build or read T need it
-    import scipy.sparse as sp
-    data = sp.coo_array((np.ones(len(t)), (rows, dest)), shape=(2 * s * r, r))
-    return HapMatrix(data=sp.csr_array(data), r=r, tz=tz)
+    data = CooMatrix.from_triples(rows, dest, np.ones(len(t)), (2 * s * r, r))
+    return HapMatrix(data=data, r=r, tz=tz)

@@ -30,12 +30,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError
+from .sparse_io import CooMatrix
 
 logger = logging.getLogger(__name__)
 
 TERM_NAMES = ("recon", "transform", "z_recon", "l1", "regression", "ridge")
 
 FACTOR_NAMES = ("U", "V", "Q", "Z", "A", "W")
+
+# the dense Cholesky's block size: the diagonal blocks np.linalg.cholesky
+# factors and inverts, and the width of each GEMM panel
+_BLOCK = 256
+# pairs of entries of T summed into T^T T at a time
+_PAIRS_PER_BATCH = 1 << 16
 
 
 @dataclass
@@ -158,6 +165,19 @@ def _checked(P, observed, T, f: LatentFactors,
     return P, observed
 
 
+def _times(X, T, transpose: bool = False) -> np.ndarray:
+    """X @ T, or X @ T^T with transpose; a CooMatrix is summed over its
+    triples, any other T multiplies as it is."""
+    if not isinstance(T, CooMatrix):
+        return X @ (T.T if transpose else T)
+    src, dst = (T.col, T.row) if transpose else (T.row, T.col)
+    n = T.shape[0] if transpose else T.shape[1]
+    out = np.zeros((len(X), n))
+    for x, o in zip(X, out):
+        np.add.at(o, dst, x[src] * T.data)
+    return out
+
+
 def _residuals(QT, f: LatentFactors):
     """The residuals of the three coupling terms, given Q T."""
     return QT - f.Z, f.Z - f.U.T @ f.A, f.V - f.W @ f.Z
@@ -182,9 +202,10 @@ def _objective(P, observed, QT, q_sq: float, f: LatentFactors,
 
 def objective(P, observed, T, f: LatentFactors,
               h: Hyperparams) -> tuple[float, dict[str, float]]:
-    """Total objective and its per-term breakdown."""
+    """Total objective and its per-term breakdown; T is dense, a
+    CooMatrix, or anything with `tocoo()`."""
     P, observed = _checked(P, observed, T, f, h)
-    return _objective(P, observed, f.Q @ T, float(np.vdot(f.Q, f.Q)), f, h)
+    return _objective(P, observed, _times(f.Q, T), float(np.vdot(f.Q, f.Q)), f, h)
 
 
 def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.ndarray]:
@@ -195,11 +216,11 @@ def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.
     """
     P, observed = _checked(P, observed, T, f, h)
     R = (P - f.U @ f.V) * observed
-    E, S, D = _residuals(f.Q @ T, f)
+    E, S, D = _residuals(_times(f.Q, T), f)
     return {
         "U": -R @ f.V.T - h.lambda2 * (f.A @ S.T) + h.lambda5 * f.U,
         "V": -f.U.T @ R + h.lambda4 * D + h.lambda5 * f.V,
-        "Q": h.lambda1 * (E @ T.T) + h.lambda5 * f.Q,
+        "Q": h.lambda1 * _times(E, T, transpose=True) + h.lambda5 * f.Q,
         "Z": -h.lambda1 * E + h.lambda2 * S - h.lambda4 * (f.W.T @ D),
         # smooth part only; the L1 term is handled by the proximal step
         "A": -h.lambda2 * (f.U @ S),
@@ -266,45 +287,125 @@ def _update_V(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
     return V
 
 
+def _gram_lower(T: CooMatrix) -> np.ndarray:
+    """T^T T as a dense array holding only its lower triangle.
+
+    Two entries of one row of T, in columns a >= b, add their product to
+    [a, b], rows in order.  The pairs are formed about _PAIRS_PER_BATCH
+    at a time, never all at once.
+    """
+    r = T.shape[1]
+    G = np.zeros((r, r))
+    first = np.flatnonzero(np.diff(T.row, prepend=-1))
+    # entry e pairs with each entry of its row from start[e] up to e
+    start = np.repeat(first, np.diff(first, append=T.nnz))
+    pairs = np.arange(T.nnz) - start + 1
+    end = np.cumsum(pairs)
+    lo = 0
+    while lo < T.nnz:
+        hi = max(lo + 1, int(np.searchsorted(end, end[lo] - pairs[lo] + _PAIRS_PER_BATCH,
+                                             side="right")))
+        n = pairs[lo:hi]
+        left = np.repeat(np.arange(lo, hi), n)
+        right = np.arange(len(left)) - np.repeat(np.cumsum(n) - n - start[lo:hi], n)
+        np.add.at(G.reshape(-1), T.col[left] * r + T.col[right],
+                  T.data[left] * T.data[right])
+        lo = hi
+    return G
+
+
+def _cholesky(M: np.ndarray) -> list[np.ndarray]:
+    """Overwrite the lower triangle of M with its Cholesky factor L, in
+    blocks of _BLOCK columns, and return the inverse of each diagonal
+    block of L.  Only the lower triangle of M is read; the strict upper
+    triangle of each diagonal block is zeroed, the rest left as it is.
+
+    Left-looking: a block column takes one GEMM update from the columns
+    left of it, then its diagonal block is factored by np.linalg.cholesky
+    and the panel below is multiplied by that block's inverse.
+    """
+    r = len(M)
+    inverses = []
+    for j in range(0, r, _BLOCK):
+        b, below = slice(j, j + _BLOCK), slice(j + _BLOCK, r)
+        if j:
+            M[j:, b] -= M[j:, :j] @ M[b, :j].T
+        L = np.linalg.cholesky(M[b, b])
+        inverse = np.linalg.inv(L)
+        M[b, b] = L
+        M[below, b] = M[below, b] @ inverse.T
+        inverses.append(inverse)
+    return inverses
+
+
+def _cho_solve(L: np.ndarray, inverses: list[np.ndarray], Z: np.ndarray) -> np.ndarray:
+    """The Y of Y L L^T = Z, L and inverses as _cholesky leaves them: a
+    blocked forward substitution X L^T = Z, then a backward one Y L = X."""
+    r = len(L)
+    Y = Z.copy()
+    starts = range(0, r, _BLOCK)
+    for j, inverse in zip(starts, inverses):
+        b = slice(j, j + _BLOCK)
+        Y[:, b] -= Y[:, :j] @ L[b, :j].T
+        Y[:, b] = Y[:, b] @ inverse.T
+    for j, inverse in zip(reversed(starts), reversed(inverses)):
+        b, below = slice(j, j + _BLOCK), slice(j + _BLOCK, r)
+        Y[:, b] -= Y[:, below] @ L[below, b]
+        Y[:, b] = Y[:, b] @ inverse
+    return Y
+
+
 def _q_solver(T, h: Hyperparams):
     """The Q update as (factorization name, map Z -> (Y, Q T)), where
     Q = l1 Y T^T.
 
     The minimiser solves Q (l1 T T^T + l5 I) = l1 Z T^T (q x q); pushed
     through T this is Y M = Z with the sparse r x r M = l1 T^T T + l5 I,
-    factored once, and Q T = Z - l5 Y.  SuperLU's factor of an M at least
-    1/16 dense fills to half the r x r square or more, where a dense
-    Cholesky's BLAS triangular solves beat SuperLU's scalar ones at every
-    size; a sparser M keeps its sparse LU factor.  With l5 = 0, M may be
-    singular and the least-norm minimiser is taken.
+    factored once, and Q T = Z - l5 Y.  An M at least 1/16 dense is built
+    dense from T's triples and factored by a blocked Cholesky in numpy,
+    whose BLAS triangular solves beat SuperLU's scalar ones there; a
+    sparser M keeps scipy's sparse LU factor, and is the one case that
+    imports scipy.  The pairs of entries sharing a row of T bound the
+    nonzeros of M, so a sparse M is seen without building it dense.  With
+    l5 = 0, M may be singular and the least-norm minimiser is taken.
     """
+    T = CooMatrix.of(T)
+    r = T.shape[1]
+    if h.lambda5 == 0:
+        M = h.lambda1 * _gram_lower(T)
+        M += np.tril(M, -1).T
+        M_pinv = np.linalg.pinv(M, hermitian=True)
+        return "pinv", lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
+    per_row = np.diff(np.flatnonzero(np.diff(T.row, prepend=-1)), append=T.nnz)
+    if 16 * (r + int((per_row * (per_row - 1)).sum())) >= r * r:
+        M = _gram_lower(T)
+        M *= h.lambda1
+        M.reshape(-1)[::r + 1] += h.lambda5
+        # M is symmetric and its diagonal positive, so the lower triangle
+        # counts each off-diagonal nonzero once of two
+        if 16 * (2 * np.count_nonzero(M) - r) >= r * r:
+            inverses = _cholesky(M)
+
+            def solve(Z):
+                Y = _cho_solve(M, inverses, Z)
+                return Y, Z - h.lambda5 * Y
+            return "cholesky", solve
+        del M
     # imported here: scipy.sparse takes longer to import than a cached rerun
     # takes to run, and scipy.sparse.linalg adds ~8 MB of resident memory
     import scipy.sparse as sp
-    r = T.shape[1]
+    from scipy.sparse.linalg import splu
+    T = sp.csr_array((T.data, (T.row, T.col)), shape=T.shape)
     M = sp.csc_array(h.lambda1 * (T.T @ T) + h.lambda5 * sp.identity(r))
-    if h.lambda5 > 0 and 16 * M.nnz < r * r:
-        from scipy.sparse.linalg import splu
-        # a symmetric fill-reducing order; unrelaxed supernodes store no
-        # padding zeros, which keeps the factor 20% smaller on 32x32 grids
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
-                  options={"SymmetricMode": True})
+    # a symmetric fill-reducing order; unrelaxed supernodes store no
+    # padding zeros, which keeps the factor 20% smaller on 32x32 grids
+    lu = splu(M, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
+              options={"SymmetricMode": True})
 
-        def solve(Z):
-            Y = lu.solve(Z.T).T
-            return Y, Z - h.lambda5 * Y
-        return "splu", solve
-    M = M.toarray(order="F")
-    if h.lambda5 > 0:
-        from scipy.linalg import cho_factor, cho_solve
-        c = cho_factor(M, overwrite_a=True, check_finite=False)
-
-        def solve(Z):
-            Y = cho_solve(c, Z.T, check_finite=False).T
-            return Y, Z - h.lambda5 * Y
-        return "cholesky", solve
-    M_pinv = np.linalg.pinv(M, hermitian=True)
-    return "pinv", lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
+    def solve(Z):
+        Y = lu.solve(Z.T).T
+        return Y, Z - h.lambda5 * Y
+    return "splu", solve
 
 
 def _update_Z(QT, f: LatentFactors, h: Hyperparams) -> np.ndarray:
@@ -339,11 +440,12 @@ def fit(P, observed, T, h: Hyperparams,
     after max_iter sweeps; the floor of 1 lets an objective that falls to
     0 stop too.  A non-finite objective raises DivergenceError.  The trace
     records the initial objective at iteration 0 and one row per sweep.
-    `observed` holds one flag per region (column of P).  `init` is not
-    modified.
+    `observed` holds one flag per region (column of P).  T is dense, a
+    CooMatrix, or anything with `tocoo()`.  `init` is not modified.
     """
     P = np.asarray(P, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
+    T = CooMatrix.of(T)
     # every update assigns a new array, so a shallow copy protects init
     f = replace(init) if init is not None else init_factors(*P.shape, T.shape[0], h)
     total, terms = objective(P, observed, T, f, h)
@@ -376,19 +478,10 @@ def fit(P, observed, T, h: Hyperparams,
         prev = total
     del solve_q  # free the factor of M before Q is built
     if h.lambda1 or h.lambda5:  # else Q has no terms and keeps its value
-        f.Q = (h.lambda1 * Y) @ T.T
+        f.Q = _times(h.lambda1 * Y, T, transpose=True)
     log = logger.info if trace.stop_reason == "converged" else logger.warning
     log("fit stopped after %d iterations (%s), objective %.6g, last relative "
         "decrease %.3g", trace.iters[-1], trace.stop_reason, total,
         trace.relative_decrease)
     return f, trace
 
-
-def masked_rmse(P, observed, U: np.ndarray, V: np.ndarray) -> float:
-    """Root mean squared reconstruction error over the observed regions."""
-    P = np.asarray(P, dtype=np.float64)
-    observed = np.asarray(observed, dtype=bool)
-    if not observed.any():
-        return 0.0
-    R = P[:, observed] - U @ V[:, observed]
-    return float(np.sqrt((R * R).mean()))

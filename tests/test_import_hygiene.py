@@ -1,6 +1,7 @@
-"""What a fresh interpreter imports.  Only the stages that build or factor
-a sparse matrix may load scipy, and `import zonefuse.cli` loads no numpy,
-so `--threads` can still pin the BLAS pools when the CLI reads it.  The
+"""What a fresh interpreter imports.  Only a fit whose M is below 1/16
+dense loads scipy, for its sparse LU factor; ingest and a fit of a denser
+M do not.  `import zonefuse.cli` loads no numpy, so `--threads` can still
+pin the BLAS pools when the CLI reads it.  The
 benchmark tracer must still find every name it wraps.  Each check runs
 in a fresh interpreter, so the imports of the test process itself do not
 count, and the tracer's patches do not leak into other tests."""
@@ -97,6 +98,23 @@ def test_benchmark_tracer_installs():
     assert "zonefuse.pipeline" in loaded("zonefuse", body)
 
 
-def test_forced_fit_loads_scipy(primed):
-    # the probe sees scipy where it is needed: fit factors a sparse matrix
-    assert "scipy.sparse" in verb(primed, "fit", "--force")
+def test_forced_gps_ingest_loads_no_scipy(primed):
+    assert verb(primed, "ingest-gps", "--force") == []
+
+
+def test_forced_fit_of_a_dense_M_loads_no_scipy(primed):
+    assert verb(primed, "fit", "--force") == []
+    notes = json.loads((primed / "out" / "manifest.json").read_text())["stages"]["fit"]["notes"]
+    assert notes["q_factor"] == "cholesky"
+
+
+def test_fit_of_a_sparse_M_loads_scipy_sparse():
+    # a T with one entry per column: M is diagonal, 1/40 dense.  scipy's
+    # own scipy.sparse.linalg loads scipy.linalg, so that is not checked
+    body = ("import numpy as np\n"
+            "from zonefuse.latent_fusion import Hyperparams, fit\n"
+            "T = np.zeros((48, 40)); T[np.arange(40), np.arange(40)] = 1.0\n"
+            "_, trace = fit(np.ones((3, 40)), np.ones(40, bool), T,"
+            " Hyperparams(k=2, max_iter=2))\n"
+            "assert trace.q_factor == 'splu'")
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded("scipy", body))

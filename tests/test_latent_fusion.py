@@ -15,11 +15,11 @@ from zonefuse.latent_fusion import (
     fit,
     gradients,
     init_factors,
-    masked_rmse,
     objective,
     prox_step_A,
     soft_threshold,
 )
+from zonefuse.sparse_io import CooMatrix
 
 
 def standard_instance(seed, p=5, r=7, k=3, q=336, column_mask=False):
@@ -157,8 +157,9 @@ class TestObjective:
         f = random_factors(6, 5, 7, 3, 336)
         h = Hyperparams(k=3)
         dense_total, _ = objective(P, observed, T, f, h)
-        sparse_total, _ = objective(P, observed, sp.csr_array(T), f, h)
-        assert sparse_total == pytest.approx(dense_total, rel=1e-12)
+        for sparse in (sp.csr_array(T), CooMatrix.of(T)):
+            sparse_total, _ = objective(P, observed, sparse, f, h)
+            assert sparse_total == pytest.approx(dense_total, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         h = Hyperparams(k=3)
@@ -223,9 +224,10 @@ class TestGradients:
         f = random_factors(18, 5, 7, 3, 336)
         h = Hyperparams(k=3)
         gd = gradients(P, observed, T, f, h)
-        gs = gradients(P, observed, sp.csr_array(T), f, h)
-        for name in FACTOR_NAMES:
-            assert np.allclose(gd[name], gs[name], atol=1e-12)
+        for sparse in (sp.csr_array(T), CooMatrix.of(T)):
+            gs = gradients(P, observed, sparse, f, h)
+            for name in FACTOR_NAMES:
+                assert np.allclose(gd[name], gs[name], atol=1e-12)
 
 
 class TestFit:
@@ -238,7 +240,7 @@ class TestFit:
         h = Hyperparams(k=k, lambda1=0, lambda2=0, lambda3=0, lambda4=0,
                         lambda5=1e-6, epsilon=0.0, max_iter=2000, seed=1)
         f, trace = fit(P, observed, T, h)
-        assert masked_rmse(P, observed, f.U, f.V) < 1e-2
+        assert np.sqrt(np.mean((P - f.U @ f.V) ** 2)) < 1e-2
 
     def test_descent_with_default_hyperparams(self):
         for seed in range(4):
@@ -376,9 +378,8 @@ class TestFit:
         assert np.allclose(Y[:, 2], 0.0, atol=1e-12)
 
     def test_q_factorization_follows_the_density_of_M(self, monkeypatch):
-        # an M at least 1/16 dense takes a dense Cholesky factor, a sparser
-        # one SuperLU's; each fit here fails if it reaches the other
-        import scipy.linalg
+        # an M at least 1/16 dense takes the dense Cholesky kernel, a
+        # sparser one SuperLU's; each fit here fails if it reaches the other
         import scipy.sparse.linalg
 
         def refuse(*args, **kwargs):
@@ -392,9 +393,22 @@ class TestFit:
         assert trace.q_factor_s >= 0.0
         T = diagonal_activity(46)
         P, observed, _ = standard_instance(47, r=T.shape[1])
-        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        monkeypatch.setattr(latent_fusion, "_cholesky", refuse)
         _, trace = fit(P, observed, T, h)
         assert trace.q_factor == "splu"
+
+    def test_rows_sharing_columns_do_not_make_M_dense(self, monkeypatch):
+        # eight more rows over the same four columns: their 96 pairs lift
+        # the bound on nnz(M) above 40^2 / 16, but M has 12 off-diagonal
+        # nonzeros, so the exact count built from the dense M picks splu
+        T = diagonal_activity(46)
+        T[np.flatnonzero(~T.any(axis=1)), :4] = 1.0
+        built = []
+        gram = latent_fusion._gram_lower
+        monkeypatch.setattr(latent_fusion, "_gram_lower",
+                            lambda T: built.append(T) or gram(T))
+        name, _ = latent_fusion._q_solver(T, Hyperparams(k=3))
+        assert (name, len(built)) == ("splu", 1)
 
     def test_max_iter_stop_logs_warning(self, caplog):
         P, observed, T = standard_instance(42)
@@ -417,9 +431,10 @@ class TestFit:
         P, observed, T = standard_instance(30)
         h = Hyperparams(k=3, max_iter=60, epsilon=0.0, seed=4)
         fd, _ = fit(P, observed, T, h)
-        fs, _ = fit(P, observed, sp.csr_array(T), h)
-        for name in FACTOR_NAMES:
-            assert np.allclose(getattr(fd, name), getattr(fs, name), atol=1e-10)
+        for sparse in (sp.csr_array(T), CooMatrix.of(T)):
+            fs, _ = fit(P, observed, sparse, h)
+            for name in FACTOR_NAMES:
+                assert np.allclose(getattr(fd, name), getattr(fs, name), atol=1e-10)
 
     def test_converged_stop_reason(self):
         P, observed, T = standard_instance(31)
@@ -472,6 +487,37 @@ def full_width_update_V(P, observed, f, h):
 def full_width_recon(P, observed, f):
     R = (P - f.U @ f.V) * observed
     return 0.5 * float((R * R).sum())
+
+
+BLOCK = latent_fusion._BLOCK
+
+
+class TestDenseCholesky:
+    @pytest.mark.parametrize("r", [1, BLOCK // 2 + 3, BLOCK + 57, 2 * BLOCK + 1],
+                             ids=["one", "below-a-block", "not-a-multiple",
+                                  "two-blocks-and-one"])
+    def test_factor_and_solve_are_exact(self, r):
+        rng = np.random.default_rng(r)
+        X = rng.normal(size=(r, r // 2 + 1))
+        M = X @ X.T / r + 0.5 * np.eye(r)
+        Z = rng.normal(size=(4, r))
+        L = M.copy()
+        # the kernel reads only the lower triangle
+        L[np.triu_indices(r, 1)] = np.nan
+        inverses = latent_fusion._cholesky(L)
+        assert len(inverses) == -(-r // BLOCK)
+        expected = np.linalg.cholesky(M)
+        assert np.abs(np.tril(L) - expected).max() <= 1e-12 * np.abs(expected).max()
+        Y = latent_fusion._cho_solve(L, inverses, Z)
+        assert np.abs(Y @ M - Z).max() <= 1e-12 * np.abs(Z).max()
+
+    @pytest.mark.parametrize("batch", [1, 7, latent_fusion._PAIRS_PER_BATCH])
+    def test_gram_is_the_lower_triangle_of_TtT(self, monkeypatch, batch):
+        # batches smaller than one entry's pairs, of a few rows, of all rows
+        monkeypatch.setattr(latent_fusion, "_PAIRS_PER_BATCH", batch)
+        T = np.random.default_rng(3).poisson(0.4, size=(60, 9)).astype(float)
+        G = latent_fusion._gram_lower(CooMatrix.of(T))
+        assert np.array_equal(G, np.tril(T.T @ T))
 
 
 class TestObservedColumnSweep:
