@@ -17,6 +17,10 @@ Each sweep sets the blocks U, V, Q, Z, A, W in turn to the minimiser of
 their own subproblem by a linear solve; A takes one proximal-gradient
 step of size 1/L instead, L the Lipschitz constant of its smooth part.
 No update can raise the objective, and there is no step size to tune.
+The Q block (k x q) is never formed: the sweep needs only Q T and
+||Q||^2, which come from Y M = Z with the regions x regions
+M = l1 T^T T + l5 I, solved through a Cholesky factor of min(m, r)
+order, m the rows of T with two or more entries (see `_q_solver`).
 """
 from __future__ import annotations
 
@@ -71,11 +75,14 @@ class Hyperparams:
 
 @dataclass
 class LatentFactors:
-    """The six factor blocks; shapes follow P (p x r) and T (q x r)."""
+    """The six factor blocks; shapes follow P (p x r) and T (q x r).
+
+    `fit` returns Q as None: its sweeps need only Q T, and no stage reads Q.
+    """
 
     U: np.ndarray  # p x k
     V: np.ndarray  # k x r
-    Q: np.ndarray  # k x q
+    Q: np.ndarray | None  # k x q
     Z: np.ndarray  # k x r
     A: np.ndarray  # p x r
     W: np.ndarray  # k x k
@@ -126,8 +133,9 @@ class FitTrace:
     terms: list[dict[str, float]] = field(default_factory=list)
     stop_reason: str = "max_iter"
     relative_decrease: float = 0.0  # of the last sweep
-    q_factor: str = ""  # how the Q step's M is factored: cholesky, splu or pinv
-    q_factor_s: float = 0.0  # time to build and factor M
+    q_factor: str = ""  # how the Q step is solved: cholesky, woodbury or pinv
+    q_order: int = 0  # order of the matrix factored: r for M, m for Woodbury's C
+    q_factor_s: float = 0.0  # time to build and factor that matrix
 
     def append(self, it: int, total: float, terms: dict[str, float]) -> None:
         self.iters.append(it)
@@ -231,7 +239,8 @@ def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.
 def init_factors(p: int, r: int, q: int, h: Hyperparams) -> LatentFactors:
     """Seeded Gaussian(0, 0.01) initialization, drawn in block order.
 
-    Q starts at zero: `fit` never reads it, and untouched zeros cost no memory.
+    Q starts at zero: `fit` reads it only for the initial objective and
+    returns it as None, and untouched zeros cost no memory.
     """
     rng = np.random.default_rng(h.seed)
     k = h.k
@@ -356,18 +365,21 @@ def _cho_solve(L: np.ndarray, inverses: list[np.ndarray], Z: np.ndarray) -> np.n
 
 
 def _q_solver(T, h: Hyperparams):
-    """The Q update as (factorization name, map Z -> (Y, Q T)), where
-    Q = l1 Y T^T.
+    """The Q update as (factorization name, order of the matrix factored,
+    map Z -> (Y, Q T)), where Q = l1 Y T^T.
 
     The minimiser solves Q (l1 T T^T + l5 I) = l1 Z T^T (q x q); pushed
-    through T this is Y M = Z with the sparse r x r M = l1 T^T T + l5 I,
-    factored once, and Q T = Z - l5 Y.  An M at least 1/16 dense is built
-    dense from T's triples and factored by a blocked Cholesky in numpy,
-    whose BLAS triangular solves beat SuperLU's scalar ones there; a
-    sparser M keeps scipy's sparse LU factor, and is the one case that
-    imports scipy.  The pairs of entries sharing a row of T bound the
-    nonzeros of M, so a sparse M is seen without building it dense.  With
-    l5 = 0, M may be singular and the least-norm minimiser is taken.
+    through T this is Y M = Z with the r x r M = l1 T^T T + l5 I, and
+    Q T = Z - l5 Y.  A row of T with one entry adds only to the diagonal
+    of M, so M = D + l1 B^T B, D diagonal and B the m rows of T with two
+    or more entries.  When m < r, the Woodbury identity gives
+
+        Y = Z D^-1 - l1 (Z D^-1 B^T) C^-1 (B D^-1),  C = I + l1 B D^-1 B^T,
+
+    m x m; otherwise M is built dense from T's triples.  Either matrix is
+    factored once by the blocked Cholesky in numpy, so the one factored is
+    min(m, r) square.  With l5 = 0, M may be singular and the least-norm
+    minimiser is taken.
     """
     T = CooMatrix.of(T)
     r = T.shape[1]
@@ -375,37 +387,41 @@ def _q_solver(T, h: Hyperparams):
         M = h.lambda1 * _gram_lower(T)
         M += np.tril(M, -1).T
         M_pinv = np.linalg.pinv(M, hermitian=True)
-        return "pinv", lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
+        return "pinv", r, lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
     per_row = np.diff(np.flatnonzero(np.diff(T.row, prepend=-1)), append=T.nnz)
-    if 16 * (r + int((per_row * (per_row - 1)).sum())) >= r * r:
+    m = int(np.count_nonzero(per_row > 1))
+    if m >= r:
         M = _gram_lower(T)
         M *= h.lambda1
         M.reshape(-1)[::r + 1] += h.lambda5
-        # M is symmetric and its diagonal positive, so the lower triangle
-        # counts each off-diagonal nonzero once of two
-        if 16 * (2 * np.count_nonzero(M) - r) >= r * r:
-            inverses = _cholesky(M)
+        inverses = _cholesky(M)
 
-            def solve(Z):
-                Y = _cho_solve(M, inverses, Z)
-                return Y, Z - h.lambda5 * Y
-            return "cholesky", solve
-        del M
-    # imported here: scipy.sparse takes longer to import than a cached rerun
-    # takes to run, and scipy.sparse.linalg adds ~8 MB of resident memory
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-    T = sp.csr_array((T.data, (T.row, T.col)), shape=T.shape)
-    M = sp.csc_array(h.lambda1 * (T.T @ T) + h.lambda5 * sp.identity(r))
-    # a symmetric fill-reducing order; unrelaxed supernodes store no
-    # padding zeros, which keeps the factor 20% smaller on 32x32 grids
-    lu = splu(M, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
-              options={"SymmetricMode": True})
+        def solve(Z):
+            Y = _cho_solve(M, inverses, Z)
+            return Y, Z - h.lambda5 * Y
+        return "cholesky", r, solve
+    in_B = np.repeat(per_row > 1, per_row)
+    d = h.lambda5 + h.lambda1 * np.bincount(T.col[~in_B], weights=T.data[~in_B] ** 2,
+                                            minlength=r)
+    # B's triples, its rows numbered 0..m-1
+    row = np.repeat(np.arange(m), per_row[per_row > 1])
+    col, data = T.col[in_B], T.data[in_B]
+    # C - I = X^T X, X = (B D^-1/2)^T sqrt(l1), r x m with its triples
+    # sorted by B's column; a stable sort keeps B's rows ascending in each
+    order = np.argsort(col, kind="stable")
+    C = _gram_lower(CooMatrix(col[order], row[order],
+                              (data * np.sqrt(h.lambda1 / d[col]))[order], (r, m)))
+    C.reshape(-1)[::m + 1] += 1.0
+    inverses = _cholesky(C)
 
     def solve(Z):
-        Y = lu.solve(Z.T).T
+        ZB = np.array([np.bincount(row, weights=z[col] * data, minlength=m)
+                       for z in Z / d])
+        H = _cho_solve(C, inverses, ZB)
+        HB = np.array([np.bincount(col, weights=x[row] * data, minlength=r) for x in H])
+        Y = (Z - h.lambda1 * HB) / d
         return Y, Z - h.lambda5 * Y
-    return "splu", solve
+    return "woodbury", m, solve
 
 
 def _update_Z(QT, f: LatentFactors, h: Hyperparams) -> np.ndarray:
@@ -441,7 +457,9 @@ def fit(P, observed, T, h: Hyperparams,
     0 stop too.  A non-finite objective raises DivergenceError.  The trace
     records the initial objective at iteration 0 and one row per sweep.
     `observed` holds one flag per region (column of P).  T is dense, a
-    CooMatrix, or anything with `tocoo()`.  `init` is not modified.
+    CooMatrix, or anything with `tocoo()`.  `init` is not modified.  The
+    factors returned hold Q as None: the sweeps take Q T and ||Q||^2 from
+    the Q step's solve, and forming the k x q block would serve no stage.
     """
     P = np.asarray(P, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
@@ -453,9 +471,9 @@ def fit(P, observed, T, h: Hyperparams,
         raise DivergenceError("objective is non-finite at the initial factors")
     trace = FitTrace()
     trace.append(0, total, terms)
-    # the loop needs only Q T and ||Q||^2; Q itself is built after it
+    # the loop needs only Q T and ||Q||^2, so Q itself is never formed
     started = time.perf_counter()
-    trace.q_factor, solve_q = _q_solver(T, h)
+    trace.q_factor, trace.q_order, solve_q = _q_solver(T, h)
     trace.q_factor_s = time.perf_counter() - started
     prev = total
     for it in range(1, h.max_iter + 1):
@@ -476,9 +494,7 @@ def fit(P, observed, T, h: Hyperparams,
             trace.stop_reason = "converged"
             break
         prev = total
-    del solve_q  # free the factor of M before Q is built
-    if h.lambda1 or h.lambda5:  # else Q has no terms and keeps its value
-        f.Q = _times(h.lambda1 * Y, T, transpose=True)
+    f.Q = None
     log = logger.info if trace.stop_reason == "converged" else logger.warning
     log("fit stopped after %d iterations (%s), objective %.6g, last relative "
         "decrease %.3g", trace.iters[-1], trace.stop_reason, total,

@@ -321,7 +321,7 @@ class Pipeline:
         # blocks an older version saved; nothing would track them now
         for stale in (self.out / "factors").glob("*.bin"):
             stale.unlink()
-        replace(factors, U=None, Q=None, Z=None, A=None, W=None).save(self.out / "factors")
+        replace(factors, U=None, Z=None, A=None, W=None).save(self.out / "factors")
         trace.to_csv(self.out / "trace.csv")
         # latent columns of venue-free regions collapsing toward zero leave
         # the clustering one blob of them
@@ -335,7 +335,8 @@ class Pipeline:
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
                 "relative_decrease": trace.relative_decrease,
-                "q_factor": trace.q_factor, "q_factor_s": trace.q_factor_s,
+                "q_factor": trace.q_factor, "q_order": trace.q_order,
+                "q_factor_s": trace.q_factor_s,
                 "unobserved_norm_ratio": ratio}
 
     def _features(self) -> FeatureMatrix:

@@ -1,10 +1,11 @@
-"""What a fresh interpreter imports.  Only a fit whose M is below 1/16
-dense loads scipy, for its sparse LU factor; ingest and a fit of a denser
-M do not.  `import zonefuse.cli` loads no numpy, so `--threads` can still
-pin the BLAS pools when the CLI reads it.  The
+"""What a fresh interpreter imports.  No stage loads scipy, and no module
+of the package imports it: the fit factors the Q step's smaller side,
+M or Woodbury's C, in numpy.  `import zonefuse.cli` loads no numpy, so
+`--threads` can still pin the BLAS pools when the CLI reads it.  The
 benchmark tracer must still find every name it wraps.  Each check runs
 in a fresh interpreter, so the imports of the test process itself do not
 count, and the tracer's patches do not leak into other tests."""
+import ast
 import json
 import os
 import subprocess
@@ -44,17 +45,29 @@ def loaded(package: str, body: str, *args: str) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.fixture(scope="module")
-def primed(tmp_path_factory):
-    """The 8x8 city of the beta-edit cache test, run once at beta 1.0."""
-    root = tmp_path_factory.mktemp("imports")
-    spec = SynthCitySpec(width=8, height=8, n_zones=4, n_users=60,
+def prime(root: Path, users: int) -> Path:
+    """An 8x8 city of `users` users, run once at beta 1.0."""
+    spec = SynthCitySpec(width=8, height=8, n_zones=4, n_users=users,
                          days=1, obs_rate=0.6, seed=5)
     gen_synthetic_city(spec, root)
     config = write_city_config(spec, root, max_iter="30", k="4", method="crf",
                                feature="latent_v", beta="1.0")
     run(PipelineConfig.load(config))
     return root
+
+
+@pytest.fixture(scope="module")
+def primed(tmp_path_factory):
+    """The city of the beta-edit cache test: more rows of T with two or
+    more entries than regions, so the fit factors M."""
+    return prime(tmp_path_factory.mktemp("imports"), 60)
+
+
+@pytest.fixture(scope="module")
+def few_users(tmp_path_factory):
+    """Fewer rows of T with two or more entries than regions, so the fit
+    takes the Woodbury solve."""
+    return prime(tmp_path_factory.mktemp("few-users"), 10)
 
 
 def verb(primed, *args: str) -> list[str]:
@@ -102,19 +115,28 @@ def test_forced_gps_ingest_loads_no_scipy(primed):
     assert verb(primed, "ingest-gps", "--force") == []
 
 
+def fit_notes(city: Path) -> dict:
+    return json.loads((city / "out" / "manifest.json").read_text())["stages"]["fit"]["notes"]
+
+
 def test_forced_fit_of_a_dense_M_loads_no_scipy(primed):
     assert verb(primed, "fit", "--force") == []
-    notes = json.loads((primed / "out" / "manifest.json").read_text())["stages"]["fit"]["notes"]
-    assert notes["q_factor"] == "cholesky"
+    assert (fit_notes(primed)["q_factor"], fit_notes(primed)["q_order"]) == ("cholesky", 64)
 
 
-def test_fit_of_a_sparse_M_loads_scipy_sparse():
-    # a T with one entry per column: M is diagonal, 1/40 dense.  scipy's
-    # own scipy.sparse.linalg loads scipy.linalg, so that is not checked
-    body = ("import numpy as np\n"
-            "from zonefuse.latent_fusion import Hyperparams, fit\n"
-            "T = np.zeros((48, 40)); T[np.arange(40), np.arange(40)] = 1.0\n"
-            "_, trace = fit(np.ones((3, 40)), np.ones(40, bool), T,"
-            " Hyperparams(k=2, max_iter=2))\n"
-            "assert trace.q_factor == 'splu'")
-    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded("scipy", body))
+def test_forced_woodbury_fit_loads_no_scipy(few_users):
+    assert verb(few_users, "fit", "--force") == []
+    notes = fit_notes(few_users)
+    assert notes["q_factor"] == "woodbury" and notes["q_order"] < 64
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((SRC / "zonefuse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "scipy" not in (name.split(".")[0] for name in names), path.name

@@ -39,10 +39,29 @@ def standard_instance(seed, p=5, r=7, k=3, q=336, column_mask=False):
 
 def diagonal_activity(seed, r=40, q=48):
     """A T with one nonzero per row and per column, so T^T T is diagonal:
-    M of the Q step is 1/r dense, below the 1/16 at which it goes dense."""
+    no row of T has two entries, and the Q step's m is 0."""
     rng = np.random.default_rng(seed)
     T = np.zeros((q, r))
     T[rng.permutation(q)[:r], np.arange(r)] = rng.poisson(3.0, r) + 1.0
+    return T
+
+
+def few_multi_entry_rows(seed, r=40, q=48):
+    """diagonal_activity with its q - r empty rows given two to four
+    entries each: 0 < m = q - r < r."""
+    T = diagonal_activity(seed, r, q)
+    rng = np.random.default_rng(seed + 1)
+    for i in np.flatnonzero(~T.any(axis=1)):
+        cols = rng.choice(r, rng.integers(2, 5), replace=False)
+        T[i, cols] = rng.poisson(2.0, len(cols)) + 1.0
+    return T
+
+
+def rows_of_two(m, r):
+    """m rows of T with two entries each, over r columns."""
+    T = np.zeros((m, r))
+    T[np.arange(m), np.arange(m) % r] = 1.0
+    T[np.arange(m), (np.arange(m) + 1) % r] = 2.0
     return T
 
 
@@ -263,9 +282,10 @@ class TestFit:
             h = Hyperparams(k=2, lambda2=0.0, lambda4=0.0, max_iter=m,
                             epsilon=0.0, seed=3)
             f, _ = fit(P, observed, T, h, init=init_factors(p, r, q, h))
-            norms = {n: float(np.linalg.norm(getattr(f, n))) for n in FACTOR_NAMES}
+            # fit returns Q as None
+            norms = {n: float(np.linalg.norm(getattr(f, n))) for n in FACTOR_NAMES if n != "Q"}
             if prev is not None:
-                for n in FACTOR_NAMES:
+                for n in norms:
                     assert norms[n] <= prev[n] + 1e-15, n
             prev = norms
         h = Hyperparams(k=2, lambda2=0.0, lambda4=0.0, max_iter=2000,
@@ -311,24 +331,28 @@ class TestFit:
         pytest.param(True, "dense", id="True"),
         pytest.param(False, "diagonal", id="diagonal-False"),
         pytest.param(True, "diagonal", id="diagonal-True"),
+        pytest.param(False, "multi", id="multi-entry-rows-False"),
+        pytest.param(True, "multi", id="multi-entry-rows-True"),
     ])
     def test_each_block_update_is_its_exact_minimiser(self, column_mask, activity):
         # after a block's update, the gradient oracle vanishes on that block;
-        # the dense M of the Q step takes a Cholesky factor, the diagonal one splu
+        # T with m >= r rows of two or more entries takes a Cholesky factor
+        # of M, one with fewer the Woodbury solve
         if activity == "dense":
             p, r, k, q = 5, 7, 3, 30
             T = np.random.default_rng(37).poisson(0.2, size=(q, r)).astype(float)
         else:
             p, r, k, q = 5, 40, 3, 48
-            T = diagonal_activity(37, r, q)
+            T = (diagonal_activity if activity == "diagonal" else few_multi_entry_rows)(37, r, q)
         P, observed, _ = standard_instance(36, p=p, r=r, k=k, column_mask=column_mask)
         f = random_factors(38, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=0.7, lambda5=0.02)
         f.U = latent_fusion._update_U(P, observed, f, h)
         f.V = latent_fusion._update_V(P, observed, f, h)
-        name, solve_q = latent_fusion._q_solver(T, h)
-        assert name == {"dense": "cholesky", "diagonal": "splu"}[activity]
+        name, _, solve_q = latent_fusion._q_solver(T, h)
+        assert name == {"dense": "cholesky", "diagonal": "woodbury",
+                        "multi": "woodbury"}[activity]
         Y, QT = solve_q(f.Z)
         f.Q = h.lambda1 * Y @ T.T
         assert np.allclose(QT, f.Q @ T, atol=1e-10)
@@ -351,8 +375,12 @@ class TestFit:
         h = Hyperparams(k=k, lambda1=0.0, lambda2=0.0, lambda3=0.0,
                         lambda4=0.0, lambda5=0.0, max_iter=5)
         f, trace = fit(P, observed, T, h, init=init)
-        for name in ("Q", "Z", "A", "W"):
+        for name in ("Z", "A", "W"):
             assert np.array_equal(getattr(f, name), getattr(init, name)), name
+        # Q has no term either: fit returns it as None, and its solve gives 0
+        assert f.Q is None
+        Y, QT = latent_fusion._q_solver(T, h)[2](f.Z)
+        assert not Y.any() and not QT.any()
         assert np.all(np.diff(trace.totals) <= 1e-12)
         # the L1 term alone is minimised by A = 0
         f, _ = fit(P, observed, T, Hyperparams(k=k, lambda2=0.0, lambda3=0.1,
@@ -367,48 +395,37 @@ class TestFit:
         T = sp.csr_array(T) if sparse else T
         h = Hyperparams(k=3, lambda5=0.0, max_iter=100, epsilon=0.0, seed=2)
         f, trace = fit(P, observed, T, h)
-        assert np.all(np.isfinite(f.Q))
+        assert f.Q is None
         assert np.all(np.diff(trace.totals) <= 1e-9)
         # Q = l1 Y T^T zeroes the Q gradient; least norm puts no weight on
         # the activity-free region, the null space of T^T T
         assert trace.q_factor == "pinv"
-        Y, QT = latent_fusion._q_solver(T, h)[1](f.Z)
+        Y, QT = latent_fusion._q_solver(T, h)[2](f.Z)
+        assert np.all(np.isfinite(Y)) and np.all(np.isfinite(QT))
         assert np.allclose(QT, h.lambda1 * Y @ T.T @ T)
         assert np.allclose((QT - f.Z) @ T.T, 0.0, atol=1e-9)
         assert np.allclose(Y[:, 2], 0.0, atol=1e-12)
 
-    def test_q_factorization_follows_the_density_of_M(self, monkeypatch):
-        # an M at least 1/16 dense takes the dense Cholesky kernel, a
-        # sparser one SuperLU's; each fit here fails if it reaches the other
-        import scipy.sparse.linalg
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("factorization chosen against the density of M")
-        h = Hyperparams(k=3, max_iter=5)
-        P, observed, T = standard_instance(45)
-        with monkeypatch.context() as m:
-            m.setattr(scipy.sparse.linalg, "splu", refuse)
-            _, trace = fit(P, observed, T, h)
-        assert trace.q_factor == "cholesky"
-        assert trace.q_factor_s >= 0.0
-        T = diagonal_activity(46)
+    @pytest.mark.parametrize("T, branch", [
+        pytest.param(diagonal_activity(46), ("woodbury", 0), id="no-multi-entry-row"),
+        pytest.param(few_multi_entry_rows(46), ("woodbury", 8), id="few-multi-entry-rows"),
+        pytest.param(rows_of_two(39, 40), ("woodbury", 39), id="m-one-below-r"),
+        pytest.param(rows_of_two(40, 40), ("cholesky", 40), id="m-equal-to-r"),
+        pytest.param(standard_instance(45)[2], ("cholesky", 7), id="m-above-r"),
+    ])
+    def test_the_smaller_side_is_factored(self, monkeypatch, T, branch):
+        # m, the rows of T with two or more entries, against r regions:
+        # Woodbury's m x m C when m < r, else M itself; the order of the one
+        # matrix the Cholesky kernel receives shows the branch taken
+        orders = []
+        cholesky = latent_fusion._cholesky
+        monkeypatch.setattr(latent_fusion, "_cholesky",
+                            lambda M: orders.append(len(M)) or cholesky(M))
         P, observed, _ = standard_instance(47, r=T.shape[1])
-        monkeypatch.setattr(latent_fusion, "_cholesky", refuse)
-        _, trace = fit(P, observed, T, h)
-        assert trace.q_factor == "splu"
-
-    def test_rows_sharing_columns_do_not_make_M_dense(self, monkeypatch):
-        # eight more rows over the same four columns: their 96 pairs lift
-        # the bound on nnz(M) above 40^2 / 16, but M has 12 off-diagonal
-        # nonzeros, so the exact count built from the dense M picks splu
-        T = diagonal_activity(46)
-        T[np.flatnonzero(~T.any(axis=1)), :4] = 1.0
-        built = []
-        gram = latent_fusion._gram_lower
-        monkeypatch.setattr(latent_fusion, "_gram_lower",
-                            lambda T: built.append(T) or gram(T))
-        name, _ = latent_fusion._q_solver(T, Hyperparams(k=3))
-        assert (name, len(built)) == ("splu", 1)
+        _, trace = fit(P, observed, T, Hyperparams(k=3, max_iter=2))
+        assert (trace.q_factor, trace.q_order) == branch
+        assert orders == [branch[1]]
+        assert trace.q_factor_s >= 0.0
 
     def test_max_iter_stop_logs_warning(self, caplog):
         P, observed, T = standard_instance(42)
@@ -433,7 +450,8 @@ class TestFit:
         fd, _ = fit(P, observed, T, h)
         for sparse in (sp.csr_array(T), CooMatrix.of(T)):
             fs, _ = fit(P, observed, sparse, h)
-            for name in FACTOR_NAMES:
+            assert fd.Q is fs.Q is None
+            for name in ("U", "V", "Z", "A", "W"):
                 assert np.allclose(getattr(fd, name), getattr(fs, name), atol=1e-10)
 
     def test_converged_stop_reason(self):
@@ -518,6 +536,25 @@ class TestDenseCholesky:
         T = np.random.default_rng(3).poisson(0.4, size=(60, 9)).astype(float)
         G = latent_fusion._gram_lower(CooMatrix.of(T))
         assert np.array_equal(G, np.tril(T.T @ T))
+
+
+class TestWoodbury:
+    @pytest.mark.parametrize("case", ["multi-entry-rows", "no-multi-entry-row",
+                                      "no-activity-weight"])
+    def test_solve_is_exact(self, case):
+        # Y M = Z against the dense M at 0 < m < r, at m = 0 (C is 0 x 0)
+        # and at l1 = 0 (M = l5 I)
+        T = (diagonal_activity if case == "no-multi-entry-row" else few_multi_entry_rows)(51)
+        h = Hyperparams(k=4, lambda1=0.0 if case == "no-activity-weight" else 0.8,
+                        lambda5=0.02)
+        name, m, solve = latent_fusion._q_solver(T, h)
+        assert (name, m) == ("woodbury", 0 if case == "no-multi-entry-row" else 8)
+        r = T.shape[1]
+        M = h.lambda1 * T.T @ T + h.lambda5 * np.eye(r)
+        Z = np.random.default_rng(52).normal(size=(4, r))
+        Y, QT = solve(Z)
+        assert np.abs(Y @ M - Z).max() <= 1e-12 * np.abs(Z).max()
+        assert np.abs(QT - h.lambda1 * Y @ T.T @ T).max() <= 1e-12 * np.abs(Z).max()
 
 
 class TestObservedColumnSweep:

@@ -75,7 +75,8 @@ class TestFullRun:
         assert sum(notes["terms"].values()) == pytest.approx(notes["objective"])
         assert notes["relative_decrease"] >= 0.0
         assert notes["stop_reason"] in ("converged", "max_iter")
-        assert notes["q_factor"] in ("cholesky", "splu", "pinv")
+        assert notes["q_factor"] in ("cholesky", "woodbury", "pinv")
+        assert 0 <= notes["q_order"] <= 64
         assert notes["q_factor_s"] >= 0.0
 
     def test_fit_notes_carry_the_unobserved_norm_ratio(self, city, caplog):
