@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -219,17 +220,41 @@ class GridIndex:
         rows, cols = np.indices(self.shape, dtype=np.int64).reshape(2, -1)
         return rows + self.origin[0], cols + self.origin[1]
 
-    def boxes(self) -> np.ndarray:
-        """(n, 4) min_lat, min_lon, max_lat, max_lon of every cell, row-major.
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """min_lat and max_lat of each lattice row, south to north, and
+        min_lon and max_lon of each column, west to east.
 
         The float operations are those of `decode`, so each value equals
-        the one `decode` gives for that cell.
+        the one `decode` gives for a cell of that row or column.
         """
         lat_span, lon_span = cell_spans(self.level)
-        rows, cols = self._coords()
-        min_lat = -90.0 + rows * lat_span
-        min_lon = -180.0 + cols * lon_span
-        return np.column_stack([min_lat, min_lon, min_lat + lat_span, min_lon + lon_span])
+        min_lat = -90.0 + np.arange(self.origin[0], self.origin[0] + self.shape[0]) * lat_span
+        min_lon = -180.0 + np.arange(self.origin[1], self.origin[1] + self.shape[1]) * lon_span
+        return min_lat, min_lat + lat_span, min_lon, min_lon + lon_span
+
+    def boxes(self) -> np.ndarray:
+        """(n, 4) min_lat, min_lon, max_lat, max_lon of every cell, row-major,
+        each value equal to the one `decode` gives for that cell."""
+        min_lat, max_lat, min_lon, max_lon = self._edges()
+        n_rows, n_cols = self.shape
+        return np.column_stack([np.repeat(min_lat, n_cols), np.tile(min_lon, n_rows),
+                                np.repeat(max_lat, n_cols), np.tile(max_lon, n_rows)])
+
+    def box_reprs(self) -> tuple[list[str], list[str], list[str], list[str]]:
+        """The repr of every cell's min_lat, min_lon, max_lat and max_lon,
+        as four row-major lists, the `boxes()` values as text.
+
+        Each corner value belongs to one lattice row or one column, so it
+        is formatted once for that row or column.
+        """
+        min_lat, max_lat, min_lon, max_lon = (list(map(repr, a.tolist()))
+                                              for a in self._edges())
+        n_rows, n_cols = self.shape
+
+        def by_row(texts: list[str]) -> list[str]:
+            return np.repeat(np.array(texts, dtype=object), n_cols).tolist()
+
+        return by_row(min_lat), min_lon * n_rows, by_row(max_lat), max_lon * n_rows
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -262,11 +287,13 @@ class GridIndex:
         return np.where(inside, row * n_cols + col, -1)
 
     def to_csv(self, path) -> None:
+        """Write cells.csv: column index, geohash and `box_reprs()` per cell,
+        in the bytes `csv.writer` would give (CRLF line ends, no field
+        needs quoting)."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["column_index", "geohash", "min_lat", "min_lon", "max_lat", "max_lon"])
-            for i, (cell, box) in enumerate(zip(self.cells, self.boxes().tolist())):
-                w.writerow([i, cell.code, *map(repr, box)])
+            fh.write("column_index,geohash,min_lat,min_lon,max_lat,max_lon\r\n")
+            fh.writelines(map("{},{},{},{},{},{}\r\n".format, range(len(self)),
+                              map(attrgetter("code"), self.cells), *self.box_reprs()))
 
     @classmethod
     def from_csv(cls, path) -> "GridIndex":

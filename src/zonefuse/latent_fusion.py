@@ -152,8 +152,10 @@ class FitTrace:
 
 
 def soft_threshold(x: np.ndarray | float, threshold: float):
-    """Elementwise sign(x) * max(|x| - threshold, 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    """Elementwise sign(x) * max(|x| - threshold, 0), computed in one pass
+    as x - clip(x, -threshold, threshold): the same values, except that an
+    entry set to zero is +0.0 rather than -0.0."""
+    return x - np.clip(x, -threshold, threshold)
 
 
 def _checked(P, observed, T, f: LatentFactors,

@@ -18,6 +18,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,7 @@ from .poi_ingest import (CategoryTable, FeatureMatrix, PoiMatrix,
                          build_poi_matrix, parse_pois, raw_poi_features,
                          svd_features, tfidf_transform)
 from .zone_annotate import build_profiles, format_report, ranked_report, save_report
-from .zone_cluster import (ZoneModel, crf_fit, kmeans, lattice_adjacency,
-                           load_labels, save_labels)
+from .zone_cluster import crf_fit, kmeans, load_labels, save_labels
 
 logger = logging.getLogger(__name__)
 
@@ -106,33 +106,34 @@ def _reading(*paths: Path):
         raise DataError(f"malformed {' or '.join(map(str, paths))}: {exc}") from exc
 
 
-def export_geojson(labels, grid: GridIndex, path=None) -> dict:
+# one GeoJSON feature: its keys in sorted order, without whitespace, and
+# (min_lat, min_lon, max_lat, max_lon, geohash, color, label) as 0 to 6
+_FEATURE = ('{{"geometry":{{"coordinates":[[[{1},{0}],[{3},{0}],[{3},{2}],[{1},{2}],'
+            '[{1},{0}]]],"type":"Polygon"}},"properties":{{"color":"{5}",'
+            '"geohash":"{4}","label":{6}}},"type":"Feature"}}')
+
+
+def export_geojson(labels, grid: GridIndex, path=None) -> str:
     """One closed-rectangle polygon feature per region, colored by label.
 
     Coordinates are lon-lat rings tracing each cell box counterclockwise,
     so neighbors share corner coordinates exactly and the collection tiles
-    the study box.
+    the study box.  Returns the FeatureCollection as JSON text, as
+    `json.dumps(..., separators=(",", ":"), sort_keys=True)` would give
+    it, and writes it with a trailing newline to `path` when one is given.
+    The text is built from the `GridIndex.box_reprs()` strings, which
+    format each corner value once per lattice row or column.
     """
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(np.int64)
     if len(labels) != len(grid):
         raise ValueError(f"{len(labels)} labels for {len(grid)} regions")
-    features = []
-    for cell, label, (lat0, lon0, lat1, lon1) in zip(grid.cells, labels.tolist(),
-                                                      grid.boxes().tolist()):
-        ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
-        label = int(label)
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Polygon", "coordinates": [ring]},
-            "properties": {"geohash": cell.code, "label": label,
-                           "color": PALETTE[label % len(PALETTE)]},
-        })
-    collection = {"type": "FeatureCollection", "features": features}
+    colors = np.array(PALETTE, dtype=object)[labels % len(PALETTE)].tolist()
+    features = map(_FEATURE.format, *grid.box_reprs(), map(attrgetter("code"), grid.cells),
+                   colors, labels.tolist())
+    text = '{"features":[' + ",".join(features) + '],"type":"FeatureCollection"}'
     if path is not None:
-        # one json.dumps call runs the C encoder; json.dump never does
-        text = json.dumps(collection, separators=(",", ":"), sort_keys=True)
         Path(path).write_text(text + "\n")
-    return collection
+    return text
 
 
 class Pipeline:
@@ -369,10 +370,10 @@ class Pipeline:
                               f"the grid has {F.r} regions")
         notes = {"method": cfg.method, "feature": cfg.feature, "zones": cfg.zones}
         if cfg.method == "crf":
-            model = crf_fit(F, lattice_adjacency(*grid.shape), c=cfg.zones,
-                            beta=cfg.beta, seed=cfg.seed)
+            model = crf_fit(F, grid.shape, c=cfg.zones, beta=cfg.beta, seed=cfg.seed)
             labels = model.labels
             model.save(self.out / "model.json")
+            notes.update(vars(model.stats))
         else:
             labels, _ = kmeans(F, cfg.zones, seed=cfg.seed)
             # left by an earlier crf run; nothing would track it now
@@ -391,7 +392,7 @@ class Pipeline:
         grid = self._grid("annotate")
         with _reading(self.out / "labels.csv"):
             codes, labels = load_labels(self.out / "labels.csv")
-        if codes != [c.code for c in grid.cells]:
+        if codes != list(map(attrgetter("code"), grid.cells)):
             raise DataError("labels.csv does not match the current grid")
         poi = self._poi()
         profiles = build_profiles(labels, poi)

@@ -1,12 +1,15 @@
 """Spatially regularized clustering of region features into zones.
 
 Region feature columns are clustered with Gaussian emissions plus a Potts
-pair potential over the 8-neighbor grid adjacency: an unordered neighbor
-pair contributes -beta when the labels agree and +beta when they differ,
-so lower energy means smoother label fields.  Inference is iterated
-conditional modes from a k-means start, alternating with Gaussian refits
-(hard EM) until the labeling is stable.  An exhaustive minimizer over all
-labelings is included for small grids so the local search can be audited.
+pair potential over the 8-neighbor lattice of the grid: an unordered
+neighbor pair contributes -beta when the labels agree and +beta when they
+differ, so lower energy means smoother label fields.  The lattice is given
+by its shape (n_rows, n_cols), regions row-major, and its pairs are
+slices of the label grid.  Inference is iterated conditional modes from a
+k-means start, one numpy step per coding set of the lattice (Besag 1986),
+alternating with Gaussian refits (hard EM) until the labeling is stable.
+An exhaustive minimizer over all labelings is included for small grids so
+the local search can be audited.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,42 +37,46 @@ CRF_MAX_ROUNDS = 50
 EXHAUSTIVE_LIMIT = 2_000_000
 
 
-@dataclass
-class Adjacency:
-    """Per-region neighbor index lists; symmetric by construction."""
-
-    neighbors: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unordered neighbor pairs as (i, j) arrays with i < j."""
-        pi = np.repeat(np.arange(len(self.neighbors), dtype=np.int64),
-                       [len(n) for n in self.neighbors])
-        pj = np.concatenate([np.empty(0, dtype=np.int64), *self.neighbors])
-        keep = pi < pj
-        return pi[keep], pj[keep]
+# the coding sets of the 8-neighbor lattice, by (row % 2, col % 2), in
+# update order: no two cells of one set are neighbors
+_CODING_SETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# (row, col) offsets of the 8 neighbors
+_OFFSETS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
-# (row, col) offsets of the 8 neighbors, in increasing row-major index order
-_OFFSETS = np.array([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-                     if dr or dc], dtype=np.int64)
-
-
-def lattice_adjacency(n_rows: int, n_cols: int) -> Adjacency:
-    """8-neighbor adjacency of a row-major n_rows x n_cols lattice, such as
-    a GridIndex of that shape.
-
-    Each region's neighbor indices come out sorted.  Longitude does not
-    wrap: a grid spanning all 360 degrees has no neighbors across 180.
+def neighbor_pairs(grid: np.ndarray):
+    """The unordered 8-neighbor pairs of a lattice whose (row, col) are the
+    last two axes of `grid`, as four (a, b) pairs of views, one per forward
+    offset (0, 1), (1, -1), (1, 0), (1, 1): a[..., i, j] and b[..., i, j]
+    are the values of two neighboring cells, and each unordered pair
+    appears once.  Longitude does not wrap: a grid spanning all 360
+    degrees has no neighbors across 180.
     """
-    rows, cols = np.divmod(np.arange(n_rows * n_cols, dtype=np.int64), n_cols)
-    rr = rows[:, None] + _OFFSETS[:, 0]
-    cc = cols[:, None] + _OFFSETS[:, 1]
-    inside = (rr >= 0) & (rr < n_rows) & (cc >= 0) & (cc < n_cols)
-    flat = (rr * n_cols + cc)[inside]
-    return Adjacency(neighbors=np.split(flat, np.cumsum(inside.sum(axis=1))[:-1]))
+    yield grid[..., :, :-1], grid[..., :, 1:]
+    yield grid[..., :-1, 1:], grid[..., 1:, :-1]
+    yield grid[..., :-1, :], grid[..., 1:, :]
+    yield grid[..., :-1, :-1], grid[..., 1:, 1:]
+
+
+def _lattice(shape, r: int) -> tuple[int, int]:
+    """The (n_rows, n_cols) lattice shape, checked to hold r regions."""
+    n_rows, n_cols = (int(n) for n in shape)
+    if n_rows < 1 or n_cols < 1 or n_rows * n_cols != r:
+        raise ValueError(f"lattice shape {tuple(shape)} does not hold {r} regions")
+    return n_rows, n_cols
+
+
+@dataclass
+class CrfStats:
+    """What one crf_fit did: its EM rounds, the ICM sweeps of all rounds,
+    the energy of the labels it returns, and why it stopped (converged,
+    max_rounds when EM reached CRF_MAX_ROUNDS, or max_sweeps when an ICM
+    call reached ICM_MAX_SWEEPS)."""
+
+    em_rounds: int = 0
+    icm_sweeps: int = 0
+    energy: float = math.nan
+    stop_reason: str = "converged"
 
 
 @dataclass
@@ -79,6 +87,7 @@ class ZoneModel:
     variances: np.ndarray  # c x d, diagonal, floored
     beta: float
     labels: np.ndarray     # region labels, shape (r,)
+    stats: CrfStats | None = None  # set by crf_fit; not saved
 
     @property
     def n_zones(self) -> int:
@@ -188,86 +197,135 @@ def _unary(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarra
     out = np.empty((r, c))
     for j in range(c):
         v = variances[j]
-        quad = ((X - means[j]) ** 2 / v).sum(axis=1)
-        out[:, j] = 0.5 * (np.log(2.0 * math.pi * v).sum() + quad)
+        quad = X - means[j]
+        quad *= quad
+        quad /= v
+        out[:, j] = 0.5 * (np.log(2.0 * math.pi * v).sum() + quad.sum(axis=1))
     return out
 
 
-def energy(labels: np.ndarray, F, model: ZoneModel, adj: Adjacency) -> float:
-    """Total labeling energy: Gaussian negative log likelihoods plus the
-    Potts pair sum (equal neighbors -beta, unequal +beta)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    X = _points(F)
-    U = _unary(X, model.means, model.variances)
-    unary = float(U[np.arange(X.shape[0]), labels].sum())
-    pi, pj = adj.pairs()
-    same = labels[pi] == labels[pj]
-    pair = float(model.beta * (1.0 - 2.0 * same).sum())
-    return unary + pair
+def _pair_energy(grid: np.ndarray, beta: float):
+    """Potts term of label grids whose last two axes are the lattice: -beta
+    per agreeing neighbor pair, +beta per disagreeing one."""
+    pairs = same = 0
+    for a, b in neighbor_pairs(grid):
+        pairs += a.shape[-2] * a.shape[-1]
+        same = same + (a == b).sum(axis=(-2, -1))
+    return beta * (pairs - 2.0 * same)
 
 
-def icm_map(labels, F, model: ZoneModel, adj: Adjacency) -> np.ndarray:
-    """Iterated conditional modes from an initial labeling.
+def _energy(X: np.ndarray, model: ZoneModel, labels: np.ndarray, shape) -> float:
+    """The energy of labels, each point's unary term taken under its own
+    zone only: the entries of the `_unary` table that labels pick."""
+    quad = X - model.means[labels]
+    quad *= quad
+    quad /= model.variances[labels]
+    log_det = np.log(2.0 * math.pi * model.variances).sum(axis=1)
+    unary = float((0.5 * (log_det[labels] + quad.sum(axis=1))).sum())
+    grid = labels.reshape(_lattice(shape, X.shape[0]))
+    return unary + float(_pair_energy(grid, model.beta))
 
-    Regions are visited in fixed index order; each takes the label
-    minimizing its unary term plus beta * (degree - 2 * agreeing
-    neighbors), ties to the lowest label.  Sweeps stop when nothing
-    changes.  A sweep that increases the energy raises RuntimeError.
+
+def energy(labels: np.ndarray, F, model: ZoneModel, shape) -> float:
+    """Total labeling energy on the (n_rows, n_cols) lattice: Gaussian
+    negative log likelihoods plus the Potts pair sum (equal neighbors
+    -beta, unequal +beta), the pairs taken from the shape."""
+    return _energy(_points(F), model, np.asarray(labels, dtype=np.int64), shape)
+
+
+def icm_map(labels, F, model: ZoneModel, shape,
+            stats: CrfStats | None = None) -> np.ndarray:
+    """Iterated conditional modes on the (n_rows, n_cols) lattice from an
+    initial labeling.
+
+    A sweep updates the four coding sets of the lattice, (row % 2,
+    col % 2) = (0, 0), (0, 1), (1, 0), (1, 1), in turn.  No two regions
+    of one set are neighbors, so a set moves at once: each of its regions
+    takes the label minimizing its unary term plus beta * (degree - 2 *
+    agreeing neighbors), ties to the lowest label, which is its exact
+    conditional mode given all of its neighbors.  Sweeps stop when nothing
+    changes, or with a warning after ICM_MAX_SWEEPS.  A sweep that
+    increases the energy raises RuntimeError.  `stats`, when given, counts
+    the sweeps and records a stop at the cap.
     """
-    labels = np.asarray(labels, dtype=np.int64).copy()
+    labels = np.asarray(labels, dtype=np.int64)
     X = _points(F)
     r = X.shape[0]
     if labels.shape != (r,):
         raise ValueError(f"labels shape {labels.shape} does not match {r} regions")
+    n_rows, n_cols = _lattice(shape, r)
     c = model.n_zones
-    U = _unary(X, model.means, model.variances)
-    beta = model.beta
-    prev_energy = energy(labels, F, model, adj)
-    for _ in range(ICM_MAX_SWEEPS):
+    U = _unary(X, model.means, model.variances).reshape(n_rows, n_cols, c)
+    zones = np.arange(c)
+    # the label grid inside a border of -1, which matches no label, so a
+    # cell's in-bounds neighbors are its 8 offsets in the padded grid
+    padded = np.full((n_rows + 2, n_cols + 2), -1, dtype=np.int64)
+    grid = padded[1:-1, 1:-1]
+    grid[...] = labels.reshape(n_rows, n_cols)
+    prev_energy = energy(labels, F, model, shape)
+    for sweep in range(1, ICM_MAX_SWEEPS + 1):
         changed = False
-        for i in range(r):
-            nbrs = adj.neighbors[i]
-            if nbrs.size:
-                counts = np.bincount(labels[nbrs], minlength=c)
-                pair = beta * (nbrs.size - 2.0 * counts)
-            else:
-                pair = 0.0
-            new = int(np.argmin(U[i] + pair))
-            if new != labels[i]:
-                labels[i] = new
+        for pr, pc in _CODING_SETS:
+            cells = grid[pr::2, pc::2]
+            h, w = cells.shape
+            counts = np.zeros((h, w, c), dtype=np.int64)
+            for dr, dc in _OFFSETS:
+                r0, c0 = 1 + pr + dr, 1 + pc + dc
+                counts += padded[r0:r0 + 2 * h - 1:2, c0:c0 + 2 * w - 1:2, None] == zones
+            pair = model.beta * (counts.sum(axis=2, keepdims=True) - 2.0 * counts)
+            new = np.argmin(U[pr::2, pc::2] + pair, axis=2)
+            if not np.array_equal(new, cells):
+                cells[...] = new
                 changed = True
-        cur_energy = energy(labels, F, model, adj)
+        labels = grid.ravel()
+        cur_energy = energy(labels, F, model, shape)
         if cur_energy > prev_energy + 1e-9:
             raise RuntimeError(
                 f"ICM sweep increased energy {prev_energy} -> {cur_energy}")
         prev_energy = cur_energy
         if not changed:
             break
+    else:
+        logger.warning("ICM stopped at its cap of %d sweeps with labels still "
+                       "changing", ICM_MAX_SWEEPS)
+        if stats is not None:
+            stats.stop_reason = "max_sweeps"
+    if stats is not None:
+        stats.icm_sweeps += sweep
     return labels
 
 
-def crf_fit(F, adj: Adjacency, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
-    """Hard-EM zone fit: k-means start, Gaussian refit, ICM, repeat.
+def crf_fit(F, shape, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
+    """Hard-EM zone fit on the (n_rows, n_cols) lattice: k-means start,
+    Gaussian refit, ICM, repeat.
 
     Labels emptied between rounds are re-seeded from the point farthest
     from its zone mean, mirroring the k-means rule.  Stops when a round
-    leaves the labeling unchanged or after CRF_MAX_ROUNDS.
+    leaves the labeling unchanged, or with a warning after CRF_MAX_ROUNDS.
+    The model's `stats` records the rounds, the sweeps, the final energy
+    and the stop reason.
     """
     X = _points(F)
     r = X.shape[0]
     if not 1 <= c <= r:
         raise ValueError(f"zone count {c} outside [1, {r}]")
     labels, _ = kmeans(F, c, seed=seed)
-    model = None
+    stats = CrfStats()
     for _ in range(CRF_MAX_ROUNDS):
         labels, model = _refit(X, labels, c, beta)
-        new_labels = icm_map(labels, F, model, adj)
+        new_labels = icm_map(labels, F, model, shape, stats=stats)
+        stats.em_rounds += 1
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
+    else:
+        logger.warning("CRF fit stopped at its cap of %d EM rounds with labels "
+                       "still changing", CRF_MAX_ROUNDS)
+        stats.stop_reason = "max_rounds"
     labels, model = _refit(X, labels, c, beta)
     model.labels = labels
+    stats.energy = _energy(X, model, labels, shape)
+    model.stats = stats
     return model
 
 
@@ -288,22 +346,19 @@ def _refit(X, labels, c, beta):
                              labels=labels)
 
 
-def exhaustive_map(F, model: ZoneModel, adj: Adjacency) -> np.ndarray:
-    """Global energy minimizer by enumeration; only viable for tiny grids."""
+def exhaustive_map(F, model: ZoneModel, shape) -> np.ndarray:
+    """Global energy minimizer on the (n_rows, n_cols) lattice by
+    enumeration; only viable for tiny grids."""
     X = _points(F)
     r = X.shape[0]
     c = model.n_zones
+    n_rows, n_cols = _lattice(shape, r)
     if c ** r > EXHAUSTIVE_LIMIT:
         raise ValueError(f"{c}^{r} labelings exceed the enumeration limit")
     U = _unary(X, model.means, model.variances)
-    pi, pj = adj.pairs()
     all_labels = np.array(list(itertools.product(range(c), repeat=r)), dtype=np.int64)
     unary = U[np.arange(r), all_labels].sum(axis=1)
-    if pi.size:
-        same = all_labels[:, pi] == all_labels[:, pj]
-        pair = model.beta * (1.0 - 2.0 * same).sum(axis=1)
-    else:
-        pair = 0.0
+    pair = _pair_energy(all_labels.reshape(-1, n_rows, n_cols), model.beta)
     return all_labels[int(np.argmin(unary + pair))].copy()
 
 
@@ -335,22 +390,30 @@ def adjusted_rand_index(a, b) -> float:
 
 
 def save_labels(path, cells: list[CellId], labels: np.ndarray) -> None:
+    """Write labels.csv: geohash, column index and label per region, in the
+    bytes `csv.writer` would give (CRLF line ends, no field needs quoting)."""
     if len(cells) != len(labels):
         raise ValueError("cell list and labels differ in length")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["geohash", "column_index", "label"])
-        for i, cell in enumerate(cells):
-            w.writerow([cell.code, i, int(labels[i])])
+        fh.write("geohash,column_index,label\r\n")
+        fh.writelines(map("{},{},{}\r\n".format, map(attrgetter("code"), cells),
+                          range(len(cells)), np.asarray(labels).astype(np.int64).tolist()))
 
 
 def load_labels(path) -> tuple[list[str], np.ndarray]:
-    codes: list[str] = []
-    labels: list[int] = []
+    """The geohash codes and labels of a labels.csv, in column order.
+
+    Raises ValueError when a row's column_index is not its position, or
+    when the rows do not all hold one value per header field.
+    """
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            if int(row["column_index"]) != i:
-                raise ValueError(f"{path}: column_index out of order at row {i}")
-            codes.append(row["geohash"])
-            labels.append(int(row["label"]))
-    return codes, np.asarray(labels, dtype=np.int64)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(filter(None, reader))  # blank lines hold no row
+    table = np.array(rows, dtype=str).reshape(len(rows), len(header))
+    field = dict(zip(header, table.T.tolist()))
+    index = np.array(field["column_index"], dtype=np.int64)
+    out_of_order = np.flatnonzero(index != np.arange(len(rows)))
+    if out_of_order.size:
+        raise ValueError(f"{path}: column_index out of order at row {out_of_order[0]}")
+    return field["geohash"], np.array(field["label"], dtype=np.int64)

@@ -44,7 +44,6 @@ from zonefuse.zone_cluster import (
     fit_gaussians,
     icm_map,
     kmeans,
-    lattice_adjacency,
     load_labels,
 )
 
@@ -220,16 +219,16 @@ def blob_instance(seed: int, sigma: float = 0.3, sep_factor: float = 5.0):
 
 def test_05_crf_attains_exhaustive_minimum_on_small_grids():
     t0 = time.perf_counter()
-    adj = lattice_adjacency(3, 3)
+    shape = (3, 3)
     hits = 0
     never_above_init = True
     for seed in range(100):
         F, _ = blob_instance(seed)
-        model = crf_fit(F, adj, 2, beta=0.4, seed=seed)
-        e_fit = energy(model.labels, F, model, adj)
-        e_best = energy(exhaustive_map(F, model, adj), F, model, adj)
+        model = crf_fit(F, shape, 2, beta=0.4, seed=seed)
+        e_fit = energy(model.labels, F, model, shape)
+        e_best = energy(exhaustive_map(F, model, shape), F, model, shape)
         init_labels, _ = kmeans(F, 2, seed=seed)
-        e_init = energy(init_labels, F, model, adj)
+        e_init = energy(init_labels, F, model, shape)
         hits += e_fit <= e_best + 1e-9
         never_above_init &= e_fit <= e_init + 1e-9
     elapsed = time.perf_counter() - t0
@@ -242,11 +241,11 @@ def test_05_crf_attains_exhaustive_minimum_on_small_grids():
 
 
 def test_06_crf_degenerate_cases():
-    adj = lattice_adjacency(3, 3)
+    shape = (3, 3)
     argmax_exact = True
     for seed in range(20):
         F, _ = blob_instance(seed, sigma=0.5, sep_factor=2.0)
-        model = crf_fit(F, adj, 2, beta=0.0, seed=seed)
+        model = crf_fit(F, shape, 2, beta=0.0, seed=seed)
         X = F.F.T
         nll = np.stack([
             0.5 * (np.log(2.0 * np.pi * model.variances[j]).sum()
@@ -265,8 +264,8 @@ def test_06_crf_degenerate_cases():
         means, variances = fit_gaussians(F, start, 2)
         model = ZoneModel(means=means, variances=variances, beta=0.7,
                           labels=start)
-        final = icm_map(start, F, model, adj)
-        monotone &= energy(final, F, model, adj) <= energy(start, F, model, adj) + 1e-9
+        final = icm_map(start, F, model, shape)
+        monotone &= energy(final, F, model, shape) <= energy(start, F, model, shape) + 1e-9
     ok = argmax_exact and monotone
     line = verdict("zero-smoothing and ICM degeneracies", ok,
                    f"beta=0 labels equal Gaussian argmax on 20 instances="

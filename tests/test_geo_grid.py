@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -15,7 +17,6 @@ from zonefuse.geo_grid import (
     enumerate_cells,
     haversine_m,
 )
-from zonefuse.zone_cluster import lattice_adjacency
 
 ORACLE_BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
 
@@ -285,15 +286,18 @@ class TestEnumerateCells:
 
 
 class TestNeighbors8:
-    """The grid's 8-neighbourhood, built from its shape."""
+    """The grid's 8-neighbourhood, computed here from its shape."""
 
     @pytest.fixture
     def grid(self):
         return enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6)
 
     def neighbors8(self, cell, grid):
-        nbrs = lattice_adjacency(*grid.shape).neighbors[grid.column_of(cell)]
-        return [grid.cells[j] for j in nbrs]
+        n_rows, n_cols = grid.shape
+        row, col = divmod(grid.column_of(cell), n_cols)
+        return [grid.cells[r * n_cols + c]
+                for r in (row - 1, row, row + 1) for c in (col - 1, col, col + 1)
+                if (r, c) != (row, col) and 0 <= r < n_rows and 0 <= c < n_cols]
 
     def test_interior_cell_has_8(self, grid):
         boxes = [decode(c) for c in grid.cells]
@@ -355,6 +359,20 @@ class TestGridCsv:
         assert loaded.cells == grid.cells
         assert loaded.index == grid.index
         assert (loaded.origin, loaded.shape) == (grid.origin, grid.shape)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        for bbox, level in ((Box(35.70, -78.70, 35.80, -78.55), 6),
+                            (Box(-33.9, 151.1, -33.7, 151.3), 7),
+                            (Box(0.0, -0.5, 0.3, 0.5), 6)):
+            grid = enumerate_cells(bbox, level)
+            want = io.StringIO(newline="")
+            w = csv.writer(want)
+            w.writerow(["column_index", "geohash", "min_lat", "min_lon", "max_lat", "max_lon"])
+            for i, (cell, box) in enumerate(zip(grid.cells, grid.boxes().tolist())):
+                w.writerow([i, cell.code, *map(repr, box)])
+            path = tmp_path / "cells.csv"
+            grid.to_csv(path)
+            assert path.read_bytes() == want.getvalue().encode()
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "cells.csv"

@@ -105,6 +105,17 @@ class TestSoftThreshold:
         x = np.array([-1.0, 0.0, 2.5])
         assert np.array_equal(soft_threshold(x, 0.0), x)
 
+    def test_matches_sign_times_max_form(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(size=50), [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf,
+                                                  np.nan, 0.5, -0.5]])
+        for theta in (0.0, 0.5, 1.0, 2.5, np.inf):
+            with np.errstate(invalid="ignore"):
+                want = np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
+                got = soft_threshold(x, theta)
+            # equal, NaN where the reference is NaN; a zero may differ in sign
+            assert np.array_equal(got, want, equal_nan=True)
+
     def test_shrinkage_bound(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=200)

@@ -12,13 +12,14 @@ import zonefuse.latent_fusion
 import zonefuse.pipeline
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import ConfigError, DataError
-from zonefuse.geo_grid import GridIndex, decode
+from zonefuse.geo_grid import Box, GridIndex, decode, enumerate_cells
 from zonefuse.latent_fusion import TERM_NAMES, LatentFactors
-from zonefuse.pipeline import (CLUSTER_METHOD_OUTPUTS, STAGE_IO, STAGE_OUTPUTS,
+from zonefuse.pipeline import (CLUSTER_METHOD_OUTPUTS, PALETTE, STAGE_IO, STAGE_OUTPUTS,
                                STAGES, Pipeline, export_geojson, file_sha256, run)
 from zonefuse.poi_ingest import DEFAULT_CATEGORIES, PoiMatrix
 from zonefuse.synth import SynthCitySpec, city_grid, gen_synthetic_city, write_city_config
-from zonefuse.zone_cluster import load_labels
+from zonefuse import zone_cluster
+from zonefuse.zone_cluster import ZoneModel, energy, load_labels
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,38 @@ class TestFullRun:
         assert warned == ([f"zone {largest} holds {sizes[largest]} of the 64 regions "
                            f"({100 * sizes[largest] / 64:.1f}%)"]
                           if sizes[largest] > 32 else [])
+
+    def test_cluster_notes_carry_crf_diagnostics(self, city, caplog):
+        cfg = variant(city, "crf_notes", method="crf", feature="latent_v")
+        with caplog.at_level("WARNING", logger="zonefuse.zone_cluster"):
+            notes = run(cfg)["stages"]["cluster"]["notes"]
+        out = city / "crf_notes"
+        model = ZoneModel.load(out / "model.json")
+        V = LatentFactors.load(out / "factors").V
+        assert notes["em_rounds"] >= 1
+        # each ICM call sweeps at least once, and the last leaves nothing to change
+        assert notes["icm_sweeps"] >= notes["em_rounds"] + 1
+        assert notes["stop_reason"] == "converged"
+        assert notes["energy"] == energy(model.labels, V, model, (8, 8))
+        assert not [r for r in caplog.records if r.name == "zonefuse.zone_cluster"]
+        # the diagnostics stay out of model.json
+        assert set(json.loads((out / "model.json").read_text())) == {
+            "beta", "labels", "means", "n_zones", "variances"}
+
+    @pytest.mark.parametrize("cap,reason", [("CRF_MAX_ROUNDS", "max_rounds"),
+                                            ("ICM_MAX_SWEEPS", "max_sweeps")])
+    def test_crf_stopped_at_a_cap_warns(self, city, caplog, monkeypatch, cap, reason):
+        monkeypatch.setattr(zone_cluster, cap, 1)
+        cfg = variant(city, f"capped_{cap}", method="crf", feature="latent_v")
+        with caplog.at_level("WARNING", logger="zonefuse.zone_cluster"):
+            notes = run(cfg)["stages"]["cluster"]["notes"]
+        assert notes["stop_reason"] == reason
+        if reason == "max_rounds":
+            assert notes["em_rounds"] == 1
+            assert "CRF fit stopped at its cap of 1 EM rounds" in caplog.text
+        else:
+            assert notes["icm_sweeps"] == notes["em_rounds"]
+            assert "ICM stopped at its cap of 1 sweeps" in caplog.text
 
     def test_one_zone_over_half_the_regions_warns(self, city, caplog):
         cfg = variant(city, "one_zone", zones=1)
@@ -563,7 +596,7 @@ class TestGeojson:
         spec = SynthCitySpec(width=8, height=8, n_zones=4, n_users=0, days=1)
         grid = city_grid(spec)
         labels = np.arange(64) % 4
-        collection = export_geojson(labels, grid)
+        collection = json.loads(export_geojson(labels, grid))
         assert collection["type"] == "FeatureCollection"
         assert len(collection["features"]) == 64
         feat = collection["features"][7]
@@ -579,7 +612,7 @@ class TestGeojson:
     def test_neighbor_cells_share_corners(self, city):
         spec = SynthCitySpec(width=8, height=8, n_zones=4, n_users=0, days=1)
         grid = city_grid(spec)
-        collection = export_geojson(np.zeros(64, dtype=int), grid)
+        collection = json.loads(export_geojson(np.zeros(64, dtype=int), grid))
         ring0 = collection["features"][0]["geometry"]["coordinates"][0]
         ring1 = collection["features"][1]["geometry"]["coordinates"][0]
         # column neighbors in row-major order share an edge
@@ -600,3 +633,25 @@ class TestGeojson:
         with open(path) as fh:
             data = json.load(fh)
         assert len(data["features"]) == 64
+
+    def test_bytes_match_json_dumps_of_the_feature_dicts(self, tmp_path):
+        # a non-square grid, and more labels than palette colors so they wrap
+        grid = enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6)
+        n_rows, n_cols = grid.shape
+        assert n_rows != n_cols
+        labels = np.arange(len(grid)) % (len(PALETTE) + 3)
+        features = []
+        for cell, label, (lat0, lon0, lat1, lon1) in zip(grid.cells, labels.tolist(),
+                                                          grid.boxes().tolist()):
+            ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
+            features.append({
+                "type": "Feature",
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+                "properties": {"geohash": cell.code, "label": int(label),
+                               "color": PALETTE[int(label) % len(PALETTE)]},
+            })
+        want = json.dumps({"type": "FeatureCollection", "features": features},
+                          separators=(",", ":"), sort_keys=True)
+        path = tmp_path / "zones.geojson"
+        assert export_geojson(labels, grid, path=path) == want
+        assert path.read_text() == want + "\n"

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -8,7 +10,6 @@ from zonefuse import zone_cluster
 from zonefuse.geo_grid import Box, GridIndex, cell_spans, decode, enumerate_cells
 from zonefuse.poi_ingest import FeatureMatrix
 from zonefuse.zone_cluster import (
-    Adjacency,
     ZoneModel,
     adjusted_rand_index,
     crf_fit,
@@ -17,8 +18,8 @@ from zonefuse.zone_cluster import (
     fit_gaussians,
     icm_map,
     kmeans,
-    lattice_adjacency,
     load_labels,
+    neighbor_pairs,
     save_labels,
 )
 
@@ -44,7 +45,7 @@ def planted_grid(n_rows, n_cols, d=3, sep=5.0, noise=1.0, seed=0,
     if n_corrupt:
         idx = rng.choice(r, size=n_corrupt, replace=False)
         X[idx] = means.mean(axis=0) + rng.normal(0.0, noise, size=(n_corrupt, d))
-    return features(X), truth, lattice_adjacency(n_rows, n_cols)
+    return features(X), truth, (n_rows, n_cols)
 
 
 def nll_oracle(x, mean, var):
@@ -55,12 +56,33 @@ def nll_oracle(x, mean, var):
     return total
 
 
-def energy_oracle(labels, X, means, variances, beta, adj):
+def neighbors_oracle(shape):
+    """Per-region sorted 8-neighbor index lists of a row-major lattice, by
+    a loop over every cell and offset."""
+    n_rows, n_cols = shape
+    out = []
+    for i in range(n_rows * n_cols):
+        row, col = divmod(i, n_cols)
+        out.append([rr * n_cols + cc
+                    for rr in (row - 1, row, row + 1) for cc in (col - 1, col, col + 1)
+                    if (rr, cc) != (row, col) and 0 <= rr < n_rows and 0 <= cc < n_cols])
+    return out
+
+
+def lattice_pairs(shape):
+    """The (i, j) index pairs that neighbor_pairs gives for a lattice."""
+    idx = np.arange(shape[0] * shape[1]).reshape(shape)
+    pairs = list(neighbor_pairs(idx))
+    return (np.concatenate([a.ravel() for a, _ in pairs]),
+            np.concatenate([b.ravel() for _, b in pairs]))
+
+
+def energy_oracle(labels, X, means, variances, beta, shape):
     """Loop-based energy evaluation used to audit energy()."""
     total = 0.0
     for i, y in enumerate(labels):
         total += nll_oracle(X[i], means[y], variances[y])
-    for i, nbrs in enumerate(adj.neighbors):
+    for i, nbrs in enumerate(neighbors_oracle(shape)):
         for j in nbrs:
             if i < j:
                 total += beta * (1.0 - 2.0 * (labels[i] == labels[j]))
@@ -68,21 +90,22 @@ def energy_oracle(labels, X, means, variances, beta, adj):
 
 
 class TestAdjacency:
+    """The neighbor pairs of a lattice, taken from its shape."""
+
     def test_lattice_degrees(self):
-        adj = lattice_adjacency(3, 3)
-        degrees = [len(n) for n in adj.neighbors]
-        assert degrees == [3, 5, 3, 5, 8, 5, 3, 5, 3]
+        pi, pj = lattice_pairs((3, 3))
+        degrees = np.bincount(np.concatenate([pi, pj]), minlength=9)
+        assert degrees.tolist() == [3, 5, 3, 5, 8, 5, 3, 5, 3]
 
     def test_lattice_symmetric_no_self_loops(self):
-        adj = lattice_adjacency(4, 5)
-        for i, nbrs in enumerate(adj.neighbors):
-            assert i not in nbrs
-            for j in nbrs:
-                assert i in adj.neighbors[j]
+        pi, pj = lattice_pairs((4, 5))
+        assert np.all(pi != pj)
+        for i, nbrs in enumerate(neighbors_oracle((4, 5))):
+            got = sorted(pj[pi == i].tolist() + pi[pj == i].tolist())
+            assert got == nbrs
 
     def test_pairs_unordered_once(self):
-        adj = lattice_adjacency(3, 3)
-        pi, pj = adj.pairs()
+        pi, pj = lattice_pairs((3, 3))
         assert np.all(pi < pj)
         # 3x3 lattice has 12 rook edges + 8 diagonal edges
         assert pi.size == 20
@@ -96,11 +119,12 @@ class TestAdjacency:
         n_rows, n_cols = len(lat_mins), len(lon_mins)
         assert n_rows * n_cols == len(grid.cells)
         assert grid.shape == (n_rows, n_cols)
-        got = lattice_adjacency(*grid.shape)
-        want = lattice_adjacency(n_rows, n_cols)
-        assert len(got) == len(want)
-        for a, b in zip(got.neighbors, want.neighbors):
-            assert np.array_equal(a, b)
+        for shape in (grid.shape, (1, 1), (1, 5), (5, 1), (7, 9)):
+            pi, pj = lattice_pairs(shape)
+            want = {(i, j) for i, nbrs in enumerate(neighbors_oracle(shape))
+                    for j in nbrs if i < j}
+            assert set(zip(pi.tolist(), pj.tolist())) == want
+            assert pi.size == len(want)
 
     def test_grid_shape_neighbors_are_touching_cells(self, tmp_path):
         # geometric oracle: two regions are neighbors exactly when their
@@ -117,10 +141,11 @@ class TestAdjacency:
             gap = np.maximum(lo, lo.transpose(1, 0, 2)) - np.minimum(hi, hi.transpose(1, 0, 2))
             touch = (gap[..., 0] <= 1e-9 * lat_span) & (gap[..., 1] <= 1e-9 * lon_span)
             np.fill_diagonal(touch, False)
-            got = lattice_adjacency(*g.shape).neighbors
-            assert len(got) == len(g) > 100
-            for i, nbrs in enumerate(got):
-                assert np.array_equal(nbrs, np.flatnonzero(touch[i]))
+            assert len(g) > 100
+            got = np.zeros_like(touch)
+            pi, pj = lattice_pairs(g.shape)
+            got[pi, pj] = got[pj, pi] = True
+            assert np.array_equal(got, touch)
 
 
 class TestKmeans:
@@ -191,30 +216,70 @@ class TestEnergy:
         X = rng.normal(size=(9, 3))
         model = random_model(rng, 2, 3, beta=0.0)
         labels = rng.integers(0, 2, size=9)
-        adj = lattice_adjacency(3, 3)
         want = sum(nll_oracle(X[i], model.means[y], model.variances[y])
                    for i, y in enumerate(labels))
-        assert energy(labels, features(X), model, adj) == pytest.approx(want)
+        assert energy(labels, features(X), model, (3, 3)) == pytest.approx(want)
 
     def test_pair_gap_is_two_beta(self):
         X = np.zeros((2, 2))
         model = ZoneModel(means=np.zeros((2, 2)), variances=np.ones((2, 2)),
                           beta=0.7, labels=np.zeros(0, dtype=np.int64))
-        adj = Adjacency(neighbors=[np.array([1]), np.array([0])])
-        same = energy(np.array([0, 0]), features(X), model, adj)
-        diff = energy(np.array([0, 1]), features(X), model, adj)
+        same = energy(np.array([0, 0]), features(X), model, (1, 2))
+        diff = energy(np.array([0, 1]), features(X), model, (1, 2))
         assert diff - same == pytest.approx(2 * 0.7)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(9, 4))
         model = random_model(rng, 3, 4, beta=1.3)
-        adj = lattice_adjacency(3, 3)
         for _ in range(5):
             labels = rng.integers(0, 3, size=9)
             want = energy_oracle(labels, X, model.means, model.variances,
-                                 model.beta, adj)
-            assert energy(labels, features(X), model, adj) == pytest.approx(want)
+                                 model.beta, (3, 3))
+            assert energy(labels, features(X), model, (3, 3)) == pytest.approx(want)
+
+
+LATTICES = [(1, 1), (1, 5), (5, 1), (7, 9), (64, 64)]
+
+
+def instance(shape, c, beta, seed):
+    rng = np.random.default_rng(seed)
+    r = shape[0] * shape[1]
+    X = rng.normal(size=(r, 2))
+    return X, random_model(rng, c, 2, beta), rng.integers(0, c, size=r)
+
+
+class TestLatticeShapes:
+    @pytest.mark.parametrize("shape", LATTICES)
+    def test_energy_matches_loop_oracle(self, shape):
+        X, model, labels = instance(shape, 3, 0.9, seed=shape[0] * 100 + shape[1])
+        want = energy_oracle(labels, X, model.means, model.variances, model.beta, shape)
+        assert energy(labels, features(X), model, shape) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", LATTICES)
+    @pytest.mark.parametrize("beta", [0.3, 2.0])
+    def test_icm_result_is_a_fixed_point(self, shape, beta):
+        # no single-region change lowers the energy of the labels ICM returns
+        for seed in range(3):
+            X, model, init = instance(shape, 3, beta, seed)
+            F = features(X)
+            out = icm_map(init, F, model, shape)
+            assert energy(out, F, model, shape) <= energy(init, F, model, shape) + 1e-9
+            U = np.stack([[nll_oracle(x, model.means[y], model.variances[y])
+                           for y in range(3)] for x in X])
+            for i, nbrs in enumerate(neighbors_oracle(shape)):
+                agree = np.bincount(out[nbrs], minlength=3)
+                local = U[i] + beta * (len(nbrs) - 2.0 * agree)
+                assert local[out[i]] <= local.min() + 1e-9
+
+    def test_wrong_shape_rejected(self):
+        X, model, labels = instance((3, 4), 2, 1.0, seed=0)
+        for call in (lambda: energy(labels, features(X), model, (4, 4)),
+                     lambda: icm_map(labels, features(X), model, (2, 5)),
+                     lambda: exhaustive_map(features(X), model, (12, 2)),
+                     lambda: crf_fit(features(X), (4, 4), c=2)):
+            with pytest.raises(ValueError, match="lattice shape"):
+                call()
 
 
 class TestIcm:
@@ -227,27 +292,27 @@ class TestIcm:
                           labels=np.zeros(0, dtype=np.int64))
         init = np.zeros(9, dtype=np.int64)
         init[4] = 1
-        adj = lattice_adjacency(3, 3)
-        out = icm_map(init, features(X), model, adj)
+        shape = (3, 3)
+        out = icm_map(init, features(X), model, shape)
         assert np.array_equal(out, np.zeros(9, dtype=np.int64))
-        assert np.array_equal(out, exhaustive_map(features(X), model, adj))
+        assert np.array_equal(out, exhaustive_map(features(X), model, shape))
 
     def test_local_optimum_unchanged(self):
-        F, truth, adj = planted_grid(3, 3, sep=8.0, seed=2)
+        F, truth, shape = planted_grid(3, 3, sep=8.0, seed=2)
         means, variances = fit_gaussians(F, truth, 2)
         model = ZoneModel(means=means, variances=variances, beta=0.5,
                           labels=np.zeros(0, dtype=np.int64))
-        out = icm_map(truth, F, model, adj)
+        out = icm_map(truth, F, model, shape)
         assert np.array_equal(out, truth)
 
     def test_beta_zero_is_unary_argmax(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(12, 3))
         model = random_model(rng, 3, 3, beta=0.0)
-        adj = lattice_adjacency(3, 4)
+        shape = (3, 4)
         for trial in range(3):
             init = rng.integers(0, 3, size=12)
-            out = icm_map(init, features(X), model, adj)
+            out = icm_map(init, features(X), model, shape)
             want = np.array([int(np.argmin([nll_oracle(X[i], model.means[y],
                                                        model.variances[y])
                                             for y in range(3)]))
@@ -258,11 +323,11 @@ class TestIcm:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(16, 3))
         model = random_model(rng, 3, 3, beta=2.0)
-        adj = lattice_adjacency(4, 4)
+        shape = (4, 4)
         F = features(X)
         init = rng.integers(0, 3, size=16)
-        out = icm_map(init, F, model, adj)
-        assert energy(out, F, model, adj) <= energy(init, F, model, adj) + 1e-9
+        out = icm_map(init, F, model, shape)
+        assert energy(out, F, model, shape) <= energy(init, F, model, shape) + 1e-9
 
     def test_energy_increase_raises(self, monkeypatch):
         # a real exception, so the check survives python -O
@@ -272,14 +337,14 @@ class TestIcm:
         model = random_model(rng, 2, 2, beta=1.0)
         F = features(rng.normal(size=(9, 2)))
         with pytest.raises(RuntimeError, match="ICM sweep increased energy 0.0 -> 1.0"):
-            icm_map(np.zeros(9, dtype=np.int64), F, model, lattice_adjacency(3, 3))
+            icm_map(np.zeros(9, dtype=np.int64), F, model, (3, 3))
 
     def test_shape_mismatch_rejected(self):
         F = features(np.zeros((4, 2)))
         model = ZoneModel(means=np.zeros((2, 2)), variances=np.ones((2, 2)),
                           beta=1.0, labels=np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            icm_map(np.zeros(3, dtype=int), F, model, lattice_adjacency(2, 2))
+            icm_map(np.zeros(3, dtype=int), F, model, (2, 2))
 
 
 class TestExhaustive:
@@ -287,11 +352,11 @@ class TestExhaustive:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(6, 2))
         model = random_model(rng, 2, 2, beta=0.9)
-        adj = lattice_adjacency(2, 3)
+        shape = (2, 3)
         F = features(X)
-        best = exhaustive_map(F, model, adj)
-        best_e = energy(best, F, model, adj)
-        energies = [energy(np.array(lab), F, model, adj)
+        best = exhaustive_map(F, model, shape)
+        best_e = energy(best, F, model, shape)
+        energies = [energy(np.array(lab), F, model, shape)
                     for lab in itertools.product(range(2), repeat=6)]
         assert best_e == pytest.approx(min(energies))
 
@@ -300,19 +365,19 @@ class TestExhaustive:
         model = ZoneModel(means=np.zeros((3, 2)), variances=np.ones((3, 2)),
                           beta=1.0, labels=np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            exhaustive_map(F, model, lattice_adjacency(5, 5))
+            exhaustive_map(F, model, (5, 5))
 
 
 class TestCrfFit:
     def test_planted_two_zone_grid(self):
-        F, truth, adj = planted_grid(8, 8, sep=5.0, noise=1.0, seed=0,
+        F, truth, shape = planted_grid(8, 8, sep=5.0, noise=1.0, seed=0,
                                      corrupt_frac=0.05)
-        model = crf_fit(F, adj, c=2, beta=1.0, seed=0)
+        model = crf_fit(F, shape, c=2, beta=1.0, seed=0)
         assert adjusted_rand_index(model.labels, truth) >= 0.9
 
     def test_beta_zero_fixed_point_is_gaussian_argmax(self):
-        F, _, adj = planted_grid(4, 4, sep=3.0, seed=5)
-        model = crf_fit(F, adj, c=2, beta=0.0, seed=1)
+        F, _, shape = planted_grid(4, 4, sep=3.0, seed=5)
+        model = crf_fit(F, shape, c=2, beta=0.0, seed=1)
         X = F.F.T
         for i in range(X.shape[0]):
             nlls = [nll_oracle(X[i], model.means[y], model.variances[y])
@@ -321,32 +386,30 @@ class TestCrfFit:
 
     def test_single_region(self):
         F = features(np.array([[1.0, 2.0]]))
-        model = crf_fit(F, Adjacency(neighbors=[np.zeros(0, dtype=np.int64)]),
-                        c=1, beta=1.0, seed=0)
+        model = crf_fit(F, (1, 1), c=1, beta=1.0, seed=0)
         assert np.array_equal(model.labels, [0])
         assert np.allclose(model.means[0], [1.0, 2.0])
         assert np.allclose(model.variances[0], 1e-6)
 
     def test_deterministic(self):
-        F, _, adj = planted_grid(5, 5, sep=2.0, seed=9)
-        m1 = crf_fit(F, adj, c=3, beta=1.0, seed=4)
-        m2 = crf_fit(F, adj, c=3, beta=1.0, seed=4)
+        F, _, shape = planted_grid(5, 5, sep=2.0, seed=9)
+        m1 = crf_fit(F, shape, c=3, beta=1.0, seed=4)
+        m2 = crf_fit(F, shape, c=3, beta=1.0, seed=4)
         assert np.array_equal(m1.labels, m2.labels)
         assert np.array_equal(m1.means, m2.means)
 
     def test_too_many_zones_rejected(self):
         F = features(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            crf_fit(F, Adjacency(neighbors=[np.zeros(0, dtype=np.int64)] * 2),
-                    c=3, beta=1.0, seed=0)
+            crf_fit(F, (1, 2), c=3, beta=1.0, seed=0)
 
     def test_reaches_exhaustive_minimum_on_separated_instances(self):
         hits = 0
         for seed in range(10):
-            F, _, adj = planted_grid(3, 3, sep=5.0, noise=1.0, seed=seed)
-            model = crf_fit(F, adj, c=2, beta=1.0, seed=seed)
-            e_fit = energy(model.labels, F, model, adj)
-            e_best = energy(exhaustive_map(F, model, adj), F, model, adj)
+            F, _, shape = planted_grid(3, 3, sep=5.0, noise=1.0, seed=seed)
+            model = crf_fit(F, shape, c=2, beta=1.0, seed=seed)
+            e_fit = energy(model.labels, F, model, shape)
+            e_best = energy(exhaustive_map(F, model, shape), F, model, shape)
             assert e_fit >= e_best - 1e-9
             if e_fit <= e_best + 1e-9:
                 hits += 1
@@ -354,27 +417,27 @@ class TestCrfFit:
             means, variances = fit_gaussians(F, init, 2)
             init_model = ZoneModel(means=means, variances=variances, beta=1.0,
                                    labels=init)
-            assert e_fit <= energy(init, F, init_model, adj) + 1e-9
+            assert e_fit <= energy(init, F, init_model, shape) + 1e-9
         assert hits >= 9
 
     def test_label_permutation_leaves_energy_unchanged(self):
-        F, _, adj = planted_grid(4, 4, sep=3.0, seed=6)
-        model = crf_fit(F, adj, c=3, beta=1.5, seed=2)
+        F, _, shape = planted_grid(4, 4, sep=3.0, seed=6)
+        model = crf_fit(F, shape, c=3, beta=1.5, seed=2)
         perm = np.array([2, 0, 1])
         permuted = ZoneModel(means=model.means[np.argsort(perm)],
                              variances=model.variances[np.argsort(perm)],
                              beta=model.beta, labels=perm[model.labels])
-        e0 = energy(model.labels, F, model, adj)
-        e1 = energy(permuted.labels, F, permuted, adj)
+        e0 = energy(model.labels, F, model, shape)
+        e1 = energy(permuted.labels, F, permuted, shape)
         assert e1 == pytest.approx(e0)
 
     def test_smoothing_monotone_in_beta(self):
-        F, _, adj = planted_grid(6, 6, sep=2.0, noise=1.0, seed=3,
+        F, _, shape = planted_grid(6, 6, sep=2.0, noise=1.0, seed=3,
                                  corrupt_frac=0.1)
-        pi, pj = adj.pairs()
+        pi, pj = lattice_pairs(shape)
         cuts = []
         for beta in (0.0, 1.0, 10.0):
-            model = crf_fit(F, adj, c=2, beta=beta, seed=0)
+            model = crf_fit(F, shape, c=2, beta=beta, seed=0)
             cuts.append(int((model.labels[pi] != model.labels[pj]).sum()))
         assert cuts[0] >= cuts[1] >= cuts[2]
 
@@ -431,6 +494,18 @@ class TestPersistence:
         assert codes == [c.code for c in cells]
         assert np.array_equal(loaded, labels)
 
+    def test_labels_bytes_match_csv_writer(self, tmp_path):
+        cells = enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6).cells
+        labels = np.arange(len(cells), dtype=np.int64) % 7
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["geohash", "column_index", "label"])
+        for i, cell in enumerate(cells):
+            w.writerow([cell.code, i, int(labels[i])])
+        path = tmp_path / "labels.csv"
+        save_labels(path, cells, labels)
+        assert path.read_bytes() == want.getvalue().encode()
+
     def test_labels_length_mismatch_rejected(self, tmp_path):
         cells = enumerate_cells(Box(10.0, 20.0, 10.1, 20.1), 5).cells
         with pytest.raises(ValueError):
@@ -443,8 +518,8 @@ class TestPersistence:
             load_labels(path)
 
     def test_model_round_trip(self, tmp_path):
-        F, _, adj = planted_grid(3, 3, sep=4.0, seed=12)
-        model = crf_fit(F, adj, c=2, beta=0.8, seed=3)
+        F, _, shape = planted_grid(3, 3, sep=4.0, seed=12)
+        model = crf_fit(F, shape, c=2, beta=0.8, seed=3)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = ZoneModel.load(path)
