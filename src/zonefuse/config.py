@@ -50,6 +50,11 @@ class PipelineConfig(Hyperparams):
     svd_t: int = 10
 
     def __post_init__(self):
+        # first, so a non-finite float is named before any range check
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
             raise ConfigError("bounding box must have positive extent")
         if not 1 <= self.level <= 12:
@@ -68,10 +73,6 @@ class PipelineConfig(Hyperparams):
             raise ConfigError(f"svd_t {self.svd_t} must be >= 1")
         if not self.out_dir:
             raise ConfigError("out_dir is required")
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})

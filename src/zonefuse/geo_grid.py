@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -198,22 +197,19 @@ class GridIndex:
 
     The cells form a full rectangle of shape (n_rows, n_cols) whose
     south-west cell sits at integer (row, col) `origin` on the level's
-    lattice.  Cells are listed row-major: latitude rows south to north,
-    each row west to east.  The list position of a cell is its region
-    column index everywhere else in the pipeline.
+    lattice.  `codes` lists the cells' geohash codes row-major: latitude
+    rows south to north, each row west to east.  The list position of a
+    code is its region column index everywhere else in the pipeline.
     """
 
     bbox: Box
     level: int
     origin: tuple[int, int]
     shape: tuple[int, int]
-    cells: list[CellId] = field(init=False)
-    index: dict[CellId, int] = field(init=False)
+    codes: list[str] = field(init=False)
 
     def __post_init__(self):
-        codes = _codes(*self._coords(), self.level)
-        self.cells = [CellId(code, self.level) for code in codes]
-        self.index = {c: i for i, c in enumerate(self.cells)}
+        self.codes = _codes(*self._coords(), self.level)
 
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Lattice (row, col) of every cell, row-major."""
@@ -257,10 +253,7 @@ class GridIndex:
         return by_row(min_lat), min_lon * n_rows, by_row(max_lat), max_lon * n_rows
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    def column_of(self, cell: CellId) -> int | None:
-        return self.index.get(cell)
+        return len(self.codes)
 
     def column_of_point(self, p: GeoPoint) -> int | None:
         col = int(self.columns_of_points([p.lat], [p.lon])[0])
@@ -293,21 +286,28 @@ class GridIndex:
         with open(path, "w", newline="") as fh:
             fh.write("column_index,geohash,min_lat,min_lon,max_lat,max_lon\r\n")
             fh.writelines(map("{},{},{},{},{},{}\r\n".format, range(len(self)),
-                              map(attrgetter("code"), self.cells), *self.box_reprs()))
+                              self.codes, *self.box_reprs()))
 
     @classmethod
     def from_csv(cls, path) -> "GridIndex":
         """Reload a grid written by to_csv.
 
         The first and last cells fix the rectangle; a file listing any
-        other cells or order than that rectangle row-major is rejected.
+        other cells or order than that rectangle row-major, or a row
+        without one value per header field, is rejected.
         """
         codes: list[str] = []
         with open(path, newline="") as fh:
-            for i, row in enumerate(csv.DictReader(fh)):
-                if int(row["column_index"]) != i:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            field_at = {name: j for j, name in enumerate(header)}
+            for i, row in enumerate(filter(None, reader)):  # blank lines hold no row
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: row {i} has {len(row)} fields, "
+                                     f"expected {len(header)}")
+                if int(row[field_at["column_index"]]) != i:
                     raise ValueError(f"{path}: column_index out of order at row {i}")
-                codes.append(row["geohash"])
+                codes.append(row[field_at["geohash"]])
         if not codes:
             raise ValueError(f"{path}: empty cell manifest")
         first, last = CellId.of(codes[0]), CellId.of(codes[-1])
@@ -322,7 +322,7 @@ class GridIndex:
         sw, ne = decode(first), decode(last)
         grid = cls(bbox=Box(sw.min_lat, sw.min_lon, ne.max_lat, ne.max_lon),
                    level=first.level, origin=(row0, col0), shape=shape)
-        if [c.code for c in grid.cells] != codes:
+        if grid.codes != codes:
             raise ValueError(f"{path}: cells do not form a row-major rectangle")
         return grid
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,11 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        # every float field, a subclass's too: NaN passes any comparison
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} {value} must be finite")
         if self.k < 1:
             raise ValueError(f"latent dimension {self.k} must be >= 1")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5"):

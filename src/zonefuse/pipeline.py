@@ -18,7 +18,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,8 @@ from .config import PipelineConfig
 from .errors import ConfigError, DataError
 from .geo_grid import Box, GridIndex, enumerate_cells
 from .latent_fusion import Hyperparams, LatentFactors, fit
-from .poi_ingest import (CategoryTable, FeatureMatrix, PoiMatrix,
-                         build_poi_matrix, parse_pois, raw_poi_features,
-                         svd_features, tfidf_transform)
+from .poi_ingest import (CategoryTable, PoiMatrix, build_poi_matrix, parse_pois,
+                         raw_poi_features, svd_features, tfidf_transform)
 from .zone_annotate import build_profiles, format_report, ranked_report, save_report
 from .zone_cluster import crf_fit, kmeans, load_labels, save_labels
 
@@ -128,8 +126,7 @@ def export_geojson(labels, grid: GridIndex, path=None) -> str:
     if len(labels) != len(grid):
         raise ValueError(f"{len(labels)} labels for {len(grid)} regions")
     colors = np.array(PALETTE, dtype=object)[labels % len(PALETTE)].tolist()
-    features = map(_FEATURE.format, *grid.box_reprs(), map(attrgetter("code"), grid.cells),
-                   colors, labels.tolist())
+    features = map(_FEATURE.format, *grid.box_reprs(), grid.codes, colors, labels.tolist())
     text = '{"features":[' + ",".join(features) + '],"type":"FeatureCollection"}'
     if path is not None:
         Path(path).write_text(text + "\n")
@@ -340,13 +337,13 @@ class Pipeline:
                 "q_factor_s": trace.q_factor_s,
                 "unobserved_norm_ratio": ratio}
 
-    def _features(self) -> FeatureMatrix:
+    def _features(self) -> np.ndarray:
+        """The configured feature, d x r."""
         kind = self.cfg.feature
         if kind == "latent_v":
             factors = self.out / "factors"
             with _reading(factors / "shapes.json", factors / "V.bin"):
-                V = LatentFactors.load(factors, ("V",)).V
-            return FeatureMatrix(F=V, kind=kind)
+                return LatentFactors.load(factors, ("V",)).V
         poi = self._poi()
         if kind == "raw_poi":
             return raw_poi_features(poi)
@@ -362,12 +359,13 @@ class Pipeline:
         cfg = self.cfg
         grid = self._grid("cluster")
         F = self._features()
-        if F.r != len(grid):
-            raise DataError(f"the {cfg.feature} feature has {F.r} regions but "
+        r = F.shape[1]
+        if r != len(grid):
+            raise DataError(f"the {cfg.feature} feature has {r} regions but "
                             f"cells.csv has {len(grid)}; rerun the earlier stages")
-        if cfg.zones > F.r:
-            raise ConfigError(f"zones {cfg.zones} outside [1, {F.r}]: "
-                              f"the grid has {F.r} regions")
+        if cfg.zones > r:
+            raise ConfigError(f"zones {cfg.zones} outside [1, {r}]: "
+                              f"the grid has {r} regions")
         notes = {"method": cfg.method, "feature": cfg.feature, "zones": cfg.zones}
         if cfg.method == "crf":
             model = crf_fit(F, grid.shape, c=cfg.zones, beta=cfg.beta, seed=cfg.seed)
@@ -378,13 +376,13 @@ class Pipeline:
             labels, _ = kmeans(F, cfg.zones, seed=cfg.seed)
             # left by an earlier crf run; nothing would track it now
             (self.out / "model.json").unlink(missing_ok=True)
-        save_labels(self.out / "labels.csv", grid.cells, labels)
+        save_labels(self.out / "labels.csv", grid.codes, labels)
         export_geojson(labels, grid, path=self.out / "zones.geojson")
         sizes = np.bincount(labels, minlength=cfg.zones)
         largest = int(sizes.argmax())
-        if sizes[largest] > F.r / 2:
+        if sizes[largest] > r / 2:
             logger.warning("zone %d holds %d of the %d regions (%.1f%%)",
-                           largest, sizes[largest], F.r, 100 * sizes[largest] / F.r)
+                           largest, sizes[largest], r, 100 * sizes[largest] / r)
         notes["zone_sizes"] = sizes.tolist()
         return notes
 
@@ -392,7 +390,7 @@ class Pipeline:
         grid = self._grid("annotate")
         with _reading(self.out / "labels.csv"):
             codes, labels = load_labels(self.out / "labels.csv")
-        if codes != list(map(attrgetter("code"), grid.cells)):
+        if codes != grid.codes:
             raise DataError("labels.csv does not match the current grid")
         poi = self._poi()
         profiles = build_profiles(labels, poi)

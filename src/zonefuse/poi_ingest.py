@@ -3,8 +3,9 @@
 POIs carry a category from a fixed table.  Counts land in a category x
 region matrix P whose columns are observed only where at least one POI
 exists; the rest of the pipeline treats unobserved columns as missing,
-not zero.  Two derived feature maps are provided: the TF-IDF reweighting
-of P and a truncated-SVD compression of any feature matrix.
+not zero.  Features are plain d x r arrays, one column per region: the
+raw counts, the TF-IDF reweighting of P, and a truncated-SVD compression
+of any such array.
 """
 from __future__ import annotations
 
@@ -243,33 +244,13 @@ def build_poi_matrix(records: list[PoiRecord], grid: GridIndex,
     return PoiMatrix(P=P, mask=mask, categories=list(categories.names), dropped=dropped)
 
 
-@dataclass
-class FeatureMatrix:
-    """A dense feature map over regions; columns are region vectors."""
-
-    F: np.ndarray
-    kind: str
-    singular_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        self.F = np.asarray(self.F, dtype=np.float64)
-        if self.F.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-d, got shape {self.F.shape}")
-
-    @property
-    def r(self) -> int:
-        return self.F.shape[1]
+def raw_poi_features(poi: PoiMatrix) -> np.ndarray:
+    """POI counts as dense d x r features (the no-preprocessing baseline)."""
+    return poi.P.copy()
 
 
-def raw_poi_features(poi: PoiMatrix) -> FeatureMatrix:
-    """POI counts as dense features (the no-preprocessing baseline)."""
-    return FeatureMatrix(F=poi.P.copy(), kind="raw_poi")
-
-
-def tfidf_transform(poi: PoiMatrix) -> FeatureMatrix:
-    """TF-IDF reweighting of the POI matrix.
+def tfidf_transform(poi: PoiMatrix) -> np.ndarray:
+    """TF-IDF reweighting of the POI matrix, as d x r features.
 
     tf(c, j) is the count share of category c within region j's POIs and
     idf(c) = ln(N / (1 + df(c))) + 1 over the N observed regions, df being
@@ -281,32 +262,32 @@ def tfidf_transform(poi: PoiMatrix) -> FeatureMatrix:
     obs = poi.mask
     n_obs = int(obs.sum())
     if n_obs == 0:
-        return FeatureMatrix(F=out, kind="tfidf")
+        return out
     col_sums = P[:, obs].sum(axis=0)
     # an observed region has at least one POI by construction
     tf = P[:, obs] / col_sums
     df = (P[:, obs] > 0).sum(axis=1)
     idf = np.log(n_obs / (1.0 + df)) + 1.0
     out[:, obs] = tf * idf[:, None]
-    return FeatureMatrix(F=out, kind="tfidf")
+    return out
 
 
-def svd_features(f: FeatureMatrix, t: int) -> FeatureMatrix:
-    """Rank-t truncated SVD compression of a feature matrix.
+def svd_features(F: np.ndarray, t: int) -> np.ndarray:
+    """Rank-t truncated SVD compression of d x r features.
 
     Returns the t leading right singular rows scaled by their singular
-    values, so columns remain region embeddings.  Signs are fixed by
-    making the largest-magnitude entry of each left singular vector
-    positive, which keeps the output deterministic.
+    values, so columns remain region embeddings and the norm of row i is
+    the i-th singular value.  Signs are fixed by making the
+    largest-magnitude entry of each left singular vector positive, which
+    keeps the output deterministic.
     """
-    d = min(f.F.shape)
+    d = min(F.shape)
     if not 1 <= t <= d:
         raise ValueError(f"rank {t} outside [1, {d}]")
-    u, s, vt = np.linalg.svd(f.F, full_matrices=False)
+    u, s, vt = np.linalg.svd(F, full_matrices=False)
     for i in range(t):
         j = int(np.argmax(np.abs(u[:, i])))
         if u[j, i] < 0:
             u[:, i] = -u[:, i]
             vt[i, :] = -vt[i, :]
-    rows = s[:t, None] * vt[:t, :]
-    return FeatureMatrix(F=rows, kind="svd_poi", singular_values=s[:t].copy())
+    return s[:t, None] * vt[:t, :]

@@ -269,7 +269,7 @@ def gen_synthetic_city(spec: SynthCitySpec, out_dir) -> dict[str, Path]:
             fh.write(f"{user},{lat!r},{lon!r},{ts}\n")
 
     truth_path = out / "truth_labels.csv"
-    save_labels(truth_path, grid.cells, labels)
+    save_labels(truth_path, grid.codes, labels)
     return {"gps": gps_path, "pois": poi_path, "truth": truth_path}
 
 

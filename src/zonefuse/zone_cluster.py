@@ -19,12 +19,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
-
-from .geo_grid import CellId
-from .poi_ingest import FeatureMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -98,9 +94,9 @@ class ZoneModel:
                    "means": self.means.tolist(),
                    "variances": self.variances.tolist(),
                    "labels": [int(x) for x in self.labels]}
+        # one-shot dumps runs the C encoder; dump never does
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "ZoneModel":
@@ -113,9 +109,8 @@ class ZoneModel:
 
 
 def _points(F) -> np.ndarray:
-    """Region vectors as rows, from a FeatureMatrix or a d x r array."""
-    M = F.F if isinstance(F, FeatureMatrix) else np.asarray(F, dtype=np.float64)
-    return np.ascontiguousarray(M.T, dtype=np.float64)
+    """Region vectors as rows, from d x r features."""
+    return np.ascontiguousarray(np.asarray(F, dtype=np.float64).T)
 
 
 def kmeans(F, c: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -389,15 +384,16 @@ def adjusted_rand_index(a, b) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def save_labels(path, cells: list[CellId], labels: np.ndarray) -> None:
-    """Write labels.csv: geohash, column index and label per region, in the
+def save_labels(path, codes: list[str], labels: np.ndarray) -> None:
+    """Write labels.csv from the regions' geohash codes, in column order,
+    and their labels: geohash, column index and label per region, in the
     bytes `csv.writer` would give (CRLF line ends, no field needs quoting)."""
-    if len(cells) != len(labels):
-        raise ValueError("cell list and labels differ in length")
+    if len(codes) != len(labels):
+        raise ValueError("code list and labels differ in length")
     with open(path, "w", newline="") as fh:
         fh.write("geohash,column_index,label\r\n")
-        fh.writelines(map("{},{},{}\r\n".format, map(attrgetter("code"), cells),
-                          range(len(cells)), np.asarray(labels).astype(np.int64).tolist()))
+        fh.writelines(map("{},{},{}\r\n".format, codes, range(len(codes)),
+                          np.asarray(labels).astype(np.int64).tolist()))
 
 
 def load_labels(path) -> tuple[list[str], np.ndarray]:

@@ -27,7 +27,7 @@ from zonefuse.latent_fusion import (
     soft_threshold,
 )
 from zonefuse.pipeline import Pipeline
-from zonefuse.poi_ingest import FeatureMatrix, PoiMatrix
+from zonefuse.poi_ingest import PoiMatrix
 from zonefuse.synth import (
     SynthCitySpec,
     gen_synthetic_city,
@@ -214,7 +214,7 @@ def blob_instance(seed: int, sigma: float = 0.3, sep_factor: float = 5.0):
     gap = sigma * (sep_factor + rng.uniform(0.0, 1.0))
     means = np.stack([mu0, mu0 + gap * direction])
     X = means[truth] + sigma * rng.normal(size=(9, 2))
-    return FeatureMatrix(X.T, "latent_v"), truth
+    return X.T, truth
 
 
 def test_05_crf_attains_exhaustive_minimum_on_small_grids():
@@ -246,7 +246,7 @@ def test_06_crf_degenerate_cases():
     for seed in range(20):
         F, _ = blob_instance(seed, sigma=0.5, sep_factor=2.0)
         model = crf_fit(F, shape, 2, beta=0.0, seed=seed)
-        X = F.F.T
+        X = F.T
         nll = np.stack([
             0.5 * (np.log(2.0 * np.pi * model.variances[j]).sum()
                    + ((X - model.means[j]) ** 2 / model.variances[j]).sum(axis=1))

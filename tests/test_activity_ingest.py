@@ -169,8 +169,8 @@ def grid():
 class TestToActivityInfos:
     def test_pair_yields_leaving_and_arriving(self, grid):
         from zonefuse.geo_grid import decode
-        c0 = decode(grid.cells[0]).center()
-        c5 = decode(grid.cells[5]).center()
+        c0 = decode(grid.codes[0]).center()
+        c5 = decode(grid.codes[5]).center()
         acts = stays([(c0.lat, c0.lon, 0.0, 1000.0),
                       (c5.lat, c5.lon, 2500.0, 4000.0)])
         infos, dropped = to_activity_infos(acts, grid)
@@ -180,14 +180,14 @@ class TestToActivityInfos:
 
     def test_single_activity_yields_nothing(self, grid):
         from zonefuse.geo_grid import decode
-        c = decode(grid.cells[0]).center()
+        c = decode(grid.codes[0]).center()
         infos, dropped = to_activity_infos(
             stays([(c.lat, c.lon, 0.0, 1000.0)]), grid)
         assert len(infos) == 0 and dropped == 0
 
     def test_origin_outside_grid_dropped(self, grid):
         from zonefuse.geo_grid import decode
-        inside = decode(grid.cells[3]).center()
+        inside = decode(grid.codes[3]).center()
         acts = stays([(40.0, -78.64, 0.0, 1000.0),
                       (inside.lat, inside.lon, 2000.0, 3500.0)])
         infos, dropped = to_activity_infos(acts, grid)
@@ -196,7 +196,7 @@ class TestToActivityInfos:
 
     def test_trip_count(self, grid):
         from zonefuse.geo_grid import decode
-        centers = [decode(c).center() for c in grid.cells[:4]]
+        centers = [decode(c).center() for c in grid.codes[:4]]
         acts = stays([(c.lat, c.lon, 1000.0 * i, 1000.0 * i + 500.0)
                       for i, c in enumerate(centers)])
         infos, dropped = to_activity_infos(acts, grid)

@@ -112,6 +112,16 @@ class TestExitCodes:
                      "--set", "justakey"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["beta", "lambda1", "epsilon", "stay_distance_m"])
+    def test_non_finite_setting_exits_two(self, city, tmp_path, capsys, key, value):
+        # NaN passes every range check, so it is rejected by name first
+        code = main(["run", "--config", str(city / "config.txt"),
+                     "--out-dir", str(tmp_path / "nf"), "--set", f"{key}={value}"])
+        assert code == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "nf").exists()
+
     def test_stage_out_of_order_exits_three(self, city, tmp_path, capsys):
         code = main(["fit", "--config", str(city / "config.txt"),
                      "--out-dir", str(tmp_path / "empty")])

@@ -171,7 +171,7 @@ class TestEnumerateCells:
         box = decode(encode(GeoPoint(35.78, -78.64), 6))
         grid = enumerate_cells(box, 6)
         assert len(grid) == 1
-        assert grid.cells[0] == encode(GeoPoint(35.78, -78.64), 6)
+        assert grid.codes == [encode(GeoPoint(35.78, -78.64), 6).code]
 
     def test_level3_cell_holds_32_level4_cells(self):
         box = decode(encode(GeoPoint(35.78, -78.64), 3))
@@ -181,15 +181,15 @@ class TestEnumerateCells:
     def test_all_cells_overlap_bbox(self):
         bbox = Box(35.7, -78.7, 35.9, -78.5)
         grid = enumerate_cells(bbox, 5)
-        for cell in grid.cells:
-            b = decode(cell)
+        for code in grid.codes:
+            b = decode(code)
             assert b.min_lat < bbox.max_lat and b.max_lat > bbox.min_lat
             assert b.min_lon < bbox.max_lon and b.max_lon > bbox.min_lon
 
     def test_row_major_order(self):
         bbox = Box(35.7, -78.7, 35.8, -78.6)
         grid = enumerate_cells(bbox, 6)
-        boxes = [decode(c) for c in grid.cells]
+        boxes = [decode(c) for c in grid.codes]
         lats = [b.min_lat for b in boxes]
         assert lats == sorted(lats)
         lat_span, lon_span = cell_spans(6)
@@ -215,22 +215,24 @@ class TestEnumerateCells:
 
     def test_index_is_consistent(self):
         grid = enumerate_cells(Box(35.7, -78.7, 35.8, -78.6), 6)
-        for i, cell in enumerate(grid.cells):
-            assert grid.index[cell] == i
-            assert grid.column_of(cell) == i
-        assert grid.column_of_point(decode(grid.cells[3]).center()) == 3
+        for i, code in enumerate(grid.codes):
+            box = decode(code)
+            assert code == encode(box.center(), 6).code
+            assert grid.column_of_point(box.center()) == i
+            assert grid.column_of_point(GeoPoint(box.min_lat, box.min_lon)) == i
 
     def test_column_of_point_matches_encode(self):
         # cell edges, centers and points just outside the grid on both axes
         grid = enumerate_cells(Box(35.7, -78.7, 35.8, -78.6), 6)
-        first, last = decode(grid.cells[0]), decode(grid.cells[-1])
+        column = {code: i for i, code in enumerate(grid.codes)}
+        first, last = decode(grid.codes[0]), decode(grid.codes[-1])
         lat_span, lon_span = cell_spans(6)
         lats = np.arange(first.min_lat - lat_span, last.max_lat + 1.5 * lat_span, lat_span / 2)
         lons = np.arange(first.min_lon - lon_span, last.max_lon + 1.5 * lon_span, lon_span / 2)
         for lat in lats:
             for lon in lons:
                 p = GeoPoint(float(lat), float(lon))
-                assert grid.column_of_point(p) == grid.index.get(encode(p, 6))
+                assert grid.column_of_point(p) == column.get(encode(p, 6).code)
 
     @pytest.mark.parametrize("bbox, level", [
         (Box(35.7, -78.7, 35.8, -78.6), 6),
@@ -240,7 +242,8 @@ class TestEnumerateCells:
     def test_columns_of_points_match_encode(self, bbox, level):
         grid = enumerate_cells(bbox, level)
         lat_span, lon_span = cell_spans(level)
-        first, last = decode(grid.cells[0]), decode(grid.cells[-1])
+        column = {code: i for i, code in enumerate(grid.codes)}
+        first, last = decode(grid.codes[0]), decode(grid.codes[-1])
         rng = np.random.default_rng(level)
         # random points in and around the grid, every exact cell edge,
         # the bbox's north and east edges, and the world's edges
@@ -255,9 +258,9 @@ class TestEnumerateCells:
                 lats.append(lat)
                 lons.append(lon)
         cols = grid.columns_of_points(lats, lons)
-        expected = [grid.index.get(encode(GeoPoint(float(a), float(b)), level))
+        expected = [column.get(encode(GeoPoint(float(a), float(b)), level).code, -1)
                     for a, b in zip(lats, lons)]
-        assert cols.tolist() == [-1 if c is None else c for c in expected]
+        assert cols.tolist() == expected
         assert (cols >= 0).any() and (cols == -1).any()
 
     @pytest.mark.parametrize("bbox, level", [
@@ -272,11 +275,11 @@ class TestEnumerateCells:
         grid = enumerate_cells(bbox, level)
         boxes = grid.boxes()
         assert boxes.shape == (len(grid), 4) and boxes.dtype == np.float64
-        for cell, row in zip(grid.cells, boxes.tolist()):
-            b = decode(cell)
+        for code, row in zip(grid.codes, boxes.tolist()):
+            b = decode(code)
             assert row == [b.min_lat, b.min_lon, b.max_lat, b.max_lon]
             center = b.center()
-            assert cell.code == oracle_encode(center.lat, center.lon, level)
+            assert code == oracle_encode(center.lat, center.lon, level)
 
     def test_columns_of_points_reject_invalid_points(self):
         grid = enumerate_cells(Box(35.7, -78.7, 35.8, -78.6), 6)
@@ -292,39 +295,39 @@ class TestNeighbors8:
     def grid(self):
         return enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6)
 
-    def neighbors8(self, cell, grid):
+    def neighbors8(self, code, grid):
         n_rows, n_cols = grid.shape
-        row, col = divmod(grid.column_of(cell), n_cols)
-        return [grid.cells[r * n_cols + c]
+        row, col = divmod(grid.codes.index(code), n_cols)
+        return [grid.codes[r * n_cols + c]
                 for r in (row - 1, row, row + 1) for c in (col - 1, col, col + 1)
                 if (r, c) != (row, col) and 0 <= r < n_rows and 0 <= c < n_cols]
 
     def test_interior_cell_has_8(self, grid):
-        boxes = [decode(c) for c in grid.cells]
+        boxes = [decode(c) for c in grid.codes]
         n_cols = sum(1 for b in boxes if b.min_lat == boxes[0].min_lat)
         n_rows = len(grid) // n_cols
-        interior = grid.cells[(n_rows // 2) * n_cols + n_cols // 2]
+        interior = grid.codes[(n_rows // 2) * n_cols + n_cols // 2]
         nbrs = self.neighbors8(interior, grid)
         assert len(nbrs) == 8
         assert len(set(nbrs)) == 8
         assert interior not in nbrs
 
     def test_corner_cell_has_3(self, grid):
-        assert len(self.neighbors8(grid.cells[0], grid)) == 3
-        assert len(self.neighbors8(grid.cells[-1], grid)) == 3
+        assert len(self.neighbors8(grid.codes[0], grid)) == 3
+        assert len(self.neighbors8(grid.codes[-1], grid)) == 3
 
     def test_symmetry(self, grid):
-        for cell in grid.cells[:40]:
-            for nbr in self.neighbors8(cell, grid):
-                assert cell in self.neighbors8(nbr, grid)
+        for code in grid.codes[:40]:
+            for nbr in self.neighbors8(code, grid):
+                assert code in self.neighbors8(nbr, grid)
 
     def test_neighbors_touch(self, grid):
-        boxes = [decode(c) for c in grid.cells]
+        boxes = [decode(c) for c in grid.codes]
         n_cols = sum(1 for b in boxes if b.min_lat == boxes[0].min_lat)
-        cell = grid.cells[n_cols + 1]
-        box = decode(cell)
+        code = grid.codes[n_cols + 1]
+        box = decode(code)
         lat_span, lon_span = cell_spans(6)
-        for nbr in self.neighbors8(cell, grid):
+        for nbr in self.neighbors8(code, grid):
             nb = decode(nbr)
             assert abs(nb.min_lat - box.min_lat) <= lat_span * (1 + 1e-9)
             assert abs(nb.min_lon - box.min_lon) <= lon_span * (1 + 1e-9)
@@ -356,8 +359,7 @@ class TestGridCsv:
         grid.to_csv(path)
         loaded = GridIndex.from_csv(path)
         assert loaded.level == grid.level
-        assert loaded.cells == grid.cells
-        assert loaded.index == grid.index
+        assert loaded.codes == grid.codes
         assert (loaded.origin, loaded.shape) == (grid.origin, grid.shape)
 
     def test_bytes_match_csv_writer(self, tmp_path):
@@ -368,8 +370,8 @@ class TestGridCsv:
             want = io.StringIO(newline="")
             w = csv.writer(want)
             w.writerow(["column_index", "geohash", "min_lat", "min_lon", "max_lat", "max_lon"])
-            for i, (cell, box) in enumerate(zip(grid.cells, grid.boxes().tolist())):
-                w.writerow([i, cell.code, *map(repr, box)])
+            for i, (code, box) in enumerate(zip(grid.codes, grid.boxes().tolist())):
+                w.writerow([i, code, *map(repr, box)])
             path = tmp_path / "cells.csv"
             grid.to_csv(path)
             assert path.read_bytes() == want.getvalue().encode()
@@ -398,4 +400,10 @@ class TestGridCsv:
     def test_swapped_rows_rejected(self, tmp_path):
         path = self.rewritten(tmp_path, lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:])
         with pytest.raises(ValueError, match="rectangle"):
+            GridIndex.from_csv(path)
+
+    def test_row_without_every_field_rejected(self, tmp_path):
+        path = self.rewritten(tmp_path, lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]]
+                              + rows[4:])
+        with pytest.raises(ValueError, match="row 3 has 5 fields, expected 6"):
             GridIndex.from_csv(path)

@@ -130,13 +130,25 @@ def test_forced_woodbury_fit_loads_no_scipy(few_users):
     assert notes["q_factor"] == "woodbury" and notes["q_order"] < 64
 
 
+def imported(path: Path) -> list[str]:
+    """The modules a source file imports; a relative import is "." plus
+    its module, or "." alone for `from . import name`."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return names
+
+
 def test_no_module_imports_scipy():
     for path in sorted((SRC / "zonefuse").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert "scipy" not in (name.split(".")[0] for name in names), path.name
+        assert "scipy" not in (name.split(".")[0] for name in imported(path)), path.name
+
+
+def test_zone_cluster_imports_no_package_module():
+    # the clustering layer works on plain arrays and lattice shapes
+    names = imported(SRC / "zonefuse" / "zone_cluster.py")
+    assert "numpy" in names
+    assert [n for n in names if n.startswith(".") or n.split(".")[0] == "zonefuse"] == []

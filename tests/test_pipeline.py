@@ -600,13 +600,13 @@ class TestGeojson:
         assert collection["type"] == "FeatureCollection"
         assert len(collection["features"]) == 64
         feat = collection["features"][7]
-        cell = grid.cells[7]
-        box = decode(cell)
+        code = grid.codes[7]
+        box = decode(code)
         ring = feat["geometry"]["coordinates"][0]
         assert ring[0] == ring[-1]
         assert ring[0] == [box.min_lon, box.min_lat]
         assert ring[2] == [box.max_lon, box.max_lat]
-        assert feat["properties"]["geohash"] == cell.code
+        assert feat["properties"]["geohash"] == code
         assert feat["properties"]["label"] == 3
 
     def test_neighbor_cells_share_corners(self, city):
@@ -641,13 +641,13 @@ class TestGeojson:
         assert n_rows != n_cols
         labels = np.arange(len(grid)) % (len(PALETTE) + 3)
         features = []
-        for cell, label, (lat0, lon0, lat1, lon1) in zip(grid.cells, labels.tolist(),
+        for code, label, (lat0, lon0, lat1, lon1) in zip(grid.codes, labels.tolist(),
                                                           grid.boxes().tolist()):
             ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
             features.append({
                 "type": "Feature",
                 "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {"geohash": cell.code, "label": int(label),
+                "properties": {"geohash": code, "label": int(label),
                                "color": PALETTE[int(label) % len(PALETTE)]},
             })
         want = json.dumps({"type": "FeatureCollection", "features": features},

@@ -8,7 +8,6 @@ from zonefuse.geo_grid import Box, decode, enumerate_cells
 from zonefuse.poi_ingest import (
     DEFAULT_CATEGORIES,
     CategoryTable,
-    FeatureMatrix,
     PoiMatrix,
     PoiRecord,
     build_poi_matrix,
@@ -101,7 +100,7 @@ class TestParsePois:
 
 class TestBuildPoiMatrix:
     def test_counts_land_in_region_columns(self, grid):
-        c3 = decode(grid.cells[3]).center()
+        c3 = decode(grid.codes[3]).center()
         records = [PoiRecord(c3.lat, c3.lon, 0), PoiRecord(c3.lat, c3.lon, 0)]
         poi = build_poi_matrix(records, grid, CategoryTable.default())
         assert poi.P.shape == (28, len(grid))
@@ -118,7 +117,7 @@ class TestBuildPoiMatrix:
         assert poi.dropped == 1
 
     def test_sparsity_and_observed_fraction(self, grid):
-        c0 = decode(grid.cells[0]).center()
+        c0 = decode(grid.codes[0]).center()
         poi = build_poi_matrix([PoiRecord(c0.lat, c0.lon, 5)], grid,
                                CategoryTable.default())
         assert poi.sparsity() == pytest.approx(1.0 - 1.0 / (28 * len(grid)))
@@ -130,8 +129,8 @@ class TestBuildPoiMatrix:
                              CategoryTable.default())
 
     def test_save_load_round_trip(self, grid, tmp_path):
-        c1 = decode(grid.cells[1]).center()
-        c4 = decode(grid.cells[4]).center()
+        c1 = decode(grid.codes[1]).center()
+        c4 = decode(grid.codes[4]).center()
         records = [PoiRecord(c1.lat, c1.lon, 2), PoiRecord(c4.lat, c4.lon, 7),
                    PoiRecord(c4.lat, c4.lon, 7)]
         poi = build_poi_matrix(records, grid, CategoryTable.default())
@@ -183,7 +182,7 @@ def oracle_tfidf(P):
 class TestTfidf:
     def test_hand_worked_instance(self):
         poi = make_poi_matrix([[2, 0], [1, 1]])
-        F = tfidf_transform(poi).F
+        F = tfidf_transform(poi)
         idf0 = math.log(2 / 2) + 1.0
         idf1 = math.log(2 / 3) + 1.0
         assert F[0, 0] == pytest.approx((2 / 3) * idf0)
@@ -196,35 +195,32 @@ class TestTfidf:
         for _ in range(20):
             P = rng.integers(0, 4, size=(6, 9)).astype(float)
             P[:, rng.integers(0, 9)] = 0.0  # force an unobserved column
-            F = tfidf_transform(make_poi_matrix(P)).F
+            F = tfidf_transform(make_poi_matrix(P))
             assert np.allclose(F, oracle_tfidf(P), atol=1e-12)
 
     def test_unobserved_columns_stay_zero(self):
         poi = make_poi_matrix([[3, 0, 1], [0, 0, 2]])
-        F = tfidf_transform(poi).F
+        F = tfidf_transform(poi)
         assert np.all(F[:, 1] == 0.0)
 
     def test_rarer_category_gets_larger_idf(self):
         # cat0 in one of three observed regions, cat1 in all three
         poi = make_poi_matrix([[1, 0, 0], [1, 1, 1]])
-        F = tfidf_transform(poi).F
+        F = tfidf_transform(poi)
         idf0 = F[0, 0] / (1 / 2)
         idf1 = F[1, 1] / 1.0
         assert idf0 > idf1
 
     def test_all_unobserved(self):
-        F = tfidf_transform(make_poi_matrix([[0, 0], [0, 0]])).F
+        F = tfidf_transform(make_poi_matrix([[0, 0], [0, 0]]))
         assert np.all(F == 0.0)
-
-    def test_kind_is_tfidf(self):
-        assert tfidf_transform(make_poi_matrix([[1]])).kind == "tfidf"
 
 
 class TestSvdFeatures:
     def test_planted_rank_two_reconstruction(self):
         rng = np.random.default_rng(5)
         F = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 9))
-        feat = svd_features(FeatureMatrix(F=F, kind="tfidf"), t=2)
+        feat = svd_features(F, t=2)
         u, s, vt = np.linalg.svd(F, full_matrices=False)
         # recover the basis actually used, signs and all
         recon = np.zeros_like(F)
@@ -233,7 +229,7 @@ class TestSvdFeatures:
             j = int(np.argmax(np.abs(ui)))
             if ui[j] < 0:
                 ui = -ui
-            recon += np.outer(ui, feat.F[i, :])
+            recon += np.outer(ui, feat[i, :])
         assert np.linalg.norm(F - recon) < 1e-8
 
     def test_eckart_young_error(self):
@@ -241,17 +237,19 @@ class TestSvdFeatures:
         F = rng.normal(size=(7, 11))
         u, s, vt = np.linalg.svd(F, full_matrices=False)
         for t in (1, 3, 5):
-            feat = svd_features(FeatureMatrix(F=F, kind="tfidf"), t=t)
+            feat = svd_features(F, t=t)
             # rebuild the rank-t approximation from the returned rows
-            basis = np.linalg.lstsq(feat.F.T, F.T, rcond=None)[0].T
-            err = np.linalg.norm(F - basis @ feat.F)
+            basis = np.linalg.lstsq(feat.T, F.T, rcond=None)[0].T
+            err = np.linalg.norm(F - basis @ feat)
             assert err == pytest.approx(math.sqrt((s[t:] ** 2).sum()), rel=1e-9)
 
     def test_singular_values_non_increasing(self):
         rng = np.random.default_rng(9)
         F = rng.normal(size=(8, 12))
-        feat = svd_features(FeatureMatrix(F=F, kind="tfidf"), t=6)
-        assert np.all(np.diff(feat.singular_values) <= 1e-12)
+        norms = np.linalg.norm(svd_features(F, t=6), axis=1)
+        # the norm of each returned row is its singular value
+        assert np.allclose(norms, np.linalg.svd(F, compute_uv=False)[:6])
+        assert np.all(np.diff(norms) <= 1e-12)
 
     def test_error_monotone_in_rank(self):
         rng = np.random.default_rng(10)
@@ -263,29 +261,21 @@ class TestSvdFeatures:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         F = rng.normal(size=(5, 9))
-        a = svd_features(FeatureMatrix(F=F, kind="tfidf"), t=3)
-        b = svd_features(FeatureMatrix(F=F, kind="tfidf"), t=3)
-        assert np.array_equal(a.F, b.F)
+        a = svd_features(F, t=3)
+        b = svd_features(F, t=3)
+        assert np.array_equal(a, b)
 
     def test_rank_beyond_min_dimension_rejected(self):
-        F = FeatureMatrix(F=np.ones((3, 5)), kind="tfidf")
+        F = np.ones((3, 5))
         with pytest.raises(ValueError):
             svd_features(F, t=4)
         with pytest.raises(ValueError):
             svd_features(F, t=0)
 
-    def test_kind_is_svd_poi(self):
-        F = FeatureMatrix(F=np.ones((3, 5)), kind="raw_poi")
-        assert svd_features(F, t=2).kind == "svd_poi"
 
-
-class TestFeatureMatrix:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(F=np.ones((2, 2)), kind="wavelet")
-
+class TestRawPoiFeatures:
     def test_raw_poi_features(self):
         poi = make_poi_matrix([[2, 0], [1, 1]])
         feat = raw_poi_features(poi)
-        assert feat.kind == "raw_poi"
-        assert np.array_equal(feat.F, [[2, 0], [1, 1]])
+        assert np.array_equal(feat, [[2, 0], [1, 1]])
+        assert not np.shares_memory(feat, poi.P)

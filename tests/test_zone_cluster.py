@@ -8,7 +8,6 @@ import pytest
 
 from zonefuse import zone_cluster
 from zonefuse.geo_grid import Box, GridIndex, cell_spans, decode, enumerate_cells
-from zonefuse.poi_ingest import FeatureMatrix
 from zonefuse.zone_cluster import (
     ZoneModel,
     adjusted_rand_index,
@@ -24,9 +23,9 @@ from zonefuse.zone_cluster import (
 )
 
 
-def features(X: np.ndarray) -> FeatureMatrix:
-    """Wrap row-per-region points as a feature matrix (columns = regions)."""
-    return FeatureMatrix(F=np.asarray(X, dtype=np.float64).T, kind="latent_v")
+def features(X: np.ndarray) -> np.ndarray:
+    """Row-per-region points as d x r features (columns = regions)."""
+    return np.asarray(X, dtype=np.float64).T
 
 
 def planted_grid(n_rows, n_cols, d=3, sep=5.0, noise=1.0, seed=0,
@@ -113,11 +112,11 @@ class TestAdjacency:
 
     def test_grid_adjacency_matches_lattice(self):
         grid = enumerate_cells(Box(10.0, 20.0, 10.15, 20.2), 5)
-        boxes = [decode(c) for c in grid.cells]
+        boxes = [decode(c) for c in grid.codes]
         lat_mins = sorted({b.min_lat for b in boxes})
         lon_mins = sorted({b.min_lon for b in boxes})
         n_rows, n_cols = len(lat_mins), len(lon_mins)
-        assert n_rows * n_cols == len(grid.cells)
+        assert n_rows * n_cols == len(grid.codes)
         assert grid.shape == (n_rows, n_cols)
         for shape in (grid.shape, (1, 1), (1, 5), (5, 1), (7, 9)):
             pi, pj = lattice_pairs(shape)
@@ -136,7 +135,7 @@ class TestAdjacency:
         lat_span, lon_span = cell_spans(6)
         for g in (grid, reloaded):
             boxes = np.array([[b.min_lat, b.min_lon, b.max_lat, b.max_lon]
-                              for b in map(decode, g.cells)])
+                              for b in map(decode, g.codes)])
             lo, hi = boxes[:, None, :2], boxes[:, None, 2:]
             gap = np.maximum(lo, lo.transpose(1, 0, 2)) - np.minimum(hi, hi.transpose(1, 0, 2))
             touch = (gap[..., 0] <= 1e-9 * lat_span) & (gap[..., 1] <= 1e-9 * lon_span)
@@ -153,7 +152,7 @@ class TestKmeans:
         F = features(np.random.default_rng(0).normal(size=(9, 4)))
         labels, centroids = kmeans(F, 1, seed=0)
         assert np.array_equal(labels, np.zeros(9, dtype=np.int64))
-        assert np.allclose(centroids[0], F.F.T.mean(axis=0))
+        assert np.allclose(centroids[0], F.T.mean(axis=0))
 
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(3)
@@ -378,7 +377,7 @@ class TestCrfFit:
     def test_beta_zero_fixed_point_is_gaussian_argmax(self):
         F, _, shape = planted_grid(4, 4, sep=3.0, seed=5)
         model = crf_fit(F, shape, c=2, beta=0.0, seed=1)
-        X = F.F.T
+        X = F.T
         for i in range(X.shape[0]):
             nlls = [nll_oracle(X[i], model.means[y], model.variances[y])
                     for y in range(2)]
@@ -486,30 +485,30 @@ class TestAdjustedRandIndex:
 
 class TestPersistence:
     def test_labels_round_trip(self, tmp_path):
-        cells = enumerate_cells(Box(10.0, 20.0, 10.1, 20.1), 5).cells
-        labels = np.arange(len(cells), dtype=np.int64) % 3
+        codes = enumerate_cells(Box(10.0, 20.0, 10.1, 20.1), 5).codes
+        labels = np.arange(len(codes), dtype=np.int64) % 3
         path = tmp_path / "labels.csv"
-        save_labels(path, cells, labels)
-        codes, loaded = load_labels(path)
-        assert codes == [c.code for c in cells]
+        save_labels(path, codes, labels)
+        loaded_codes, loaded = load_labels(path)
+        assert loaded_codes == codes
         assert np.array_equal(loaded, labels)
 
     def test_labels_bytes_match_csv_writer(self, tmp_path):
-        cells = enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6).cells
-        labels = np.arange(len(cells), dtype=np.int64) % 7
+        codes = enumerate_cells(Box(35.70, -78.70, 35.80, -78.55), 6).codes
+        labels = np.arange(len(codes), dtype=np.int64) % 7
         want = io.StringIO(newline="")
         w = csv.writer(want)
         w.writerow(["geohash", "column_index", "label"])
-        for i, cell in enumerate(cells):
-            w.writerow([cell.code, i, int(labels[i])])
+        for i, code in enumerate(codes):
+            w.writerow([code, i, int(labels[i])])
         path = tmp_path / "labels.csv"
-        save_labels(path, cells, labels)
+        save_labels(path, codes, labels)
         assert path.read_bytes() == want.getvalue().encode()
 
     def test_labels_length_mismatch_rejected(self, tmp_path):
-        cells = enumerate_cells(Box(10.0, 20.0, 10.1, 20.1), 5).cells
+        codes = enumerate_cells(Box(10.0, 20.0, 10.1, 20.1), 5).codes
         with pytest.raises(ValueError):
-            save_labels(tmp_path / "x.csv", cells, np.zeros(1, dtype=int))
+            save_labels(tmp_path / "x.csv", codes, np.zeros(1, dtype=int))
 
     def test_labels_order_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
