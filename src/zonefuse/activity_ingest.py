@@ -59,6 +59,13 @@ CHUNK_LINES = 4096
 # the stay scan checks offsets 1..STAY_PASSES for every point at once;
 # only an anchor whose stay outlasts them is scanned further on its own
 STAY_PASSES = 32
+# anchors per batch of those passes, so that their temporaries take a
+# few MB however long the traces are
+STAY_BLOCK = 16384
+# stays of up to this many points have their centroids summed together,
+# one pass per point; each longer stay is summed on its own, so a trace
+# with long stays does not cost one pass per point of its longest stay
+LOCKSTEP_POINTS = 256
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # epoch seconds that datetime.fromtimestamp turns into a date under any
@@ -216,6 +223,65 @@ class Trajectories(Mapping):
         return len(self.users)
 
 
+def _read_points(fh, path, weekdays_only: bool,
+                 zone: tzinfo) -> tuple[np.recarray, dict[str, int], int, int]:
+    """The kept rows of an open GPS CSV, in file order.
+
+    Returns (points, user codes, rows read, malformed rows): the `user`
+    field of `points` holds each id's code in `codes`, numbered in
+    first-seen order.
+    """
+    # every row ends at a line break (\n, \r or both) or at the end of
+    # the file, so counting them bounds the row count; the capacity that
+    # malformed or weekend rows leave is never written, so never resident
+    capacity = 1
+    for block in iter(lambda: fh.read(1 << 16), ""):
+        capacity += block.count("\n")
+        if "\r" in block:
+            capacity += block.count("\r")
+    fh.seek(0)
+    points = np.recarray(capacity, dtype=POINT_DTYPE)
+    filled = 0
+    codes: dict[str, int] = {}
+    malformed = 0
+    total = 0
+    epoch_mode: bool | None = None
+    header = next(csv.reader(fh), None)
+    if header is None or not set(GPS_COLUMNS).issubset(header):
+        raise DataError(f"{path}: header must contain {sorted(GPS_COLUMNS)}")
+    # a repeated column name reads its last occurrence, as in csv.DictReader
+    where = {name: i for i, name in enumerate(header)}
+    picks = [where[name] for name in GPS_COLUMNS]
+    for users, lats, lons, stamps in _read_columns(fh, len(header), picks):
+        total += len(users)
+        if epoch_mode is None:
+            epoch_mode = _is_epoch(stamps)
+        if epoch_mode is None:
+            malformed += len(users)
+            continue
+        t, ok = _convert(stamps, float if epoch_mode else _iso_seconds)
+        lat, ok_lat = _convert(lats, float)
+        lon, ok_lon = _convert(lons, float)
+        # GeoPoint's rules: NaN fails every comparison, infinities the ranges
+        ok &= (ok_lat & ok_lon & (lat >= -90.0) & (lat <= 90.0)
+               & (lon >= -180.0) & (lon <= 180.0)
+               & (t >= _T_MIN) & (t <= _T_MAX))
+        ok &= np.fromiter(map(bool, users), bool, len(users))
+        malformed += len(users) - int(np.count_nonzero(ok))
+        if weekdays_only:
+            ok[ok] = local_hour_weekday(t[ok], zone)[1] < 5
+        users = list(compress(users, ok))
+        for u in dict.fromkeys(users):
+            codes.setdefault(u, len(codes))
+        if filled + len(users) > capacity:
+            raise DataError(f"{path} grew while it was read")
+        rows = points[filled:filled + len(users)]
+        rows.user = np.fromiter(map(codes.__getitem__, users), np.int64, len(users))
+        rows.lat, rows.lon, rows.t = lat[ok], lon[ok], t[ok]
+        filled += len(users)
+    return points[:filled], codes, total, malformed
+
+
 def parse_gps(path, weekdays_only: bool = False,
               tz: str = "UTC") -> tuple[Trajectories, int]:
     """Read a GPS CSV into the time-sorted trajectories of all users.
@@ -228,64 +294,33 @@ def parse_gps(path, weekdays_only: bool = False,
     beyond the dates datetime can represent.  Malformed rows are counted
     and skipped, but a file more than half malformed raises DataError.
 
+    The rows go straight into one record array sized by the file's line
+    breaks, which is then sorted in place, one field at a time.
+
     Returns (trajectories, number of malformed rows).
     """
     zone = parse_timezone(tz)
-    codes: dict[str, int] = {}   # user id -> code, in first-seen order
-    empty = np.empty(0)
-    batches = [(np.empty(0, dtype=np.int64), empty, empty, empty)]
-    malformed = 0
-    total = 0
-    epoch_mode: bool | None = None
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read GPS file {path}: {exc}") from exc
     with fh:
-        header = next(csv.reader(fh), None)
-        if header is None or not set(GPS_COLUMNS).issubset(header):
-            raise DataError(f"{path}: header must contain {sorted(GPS_COLUMNS)}")
-        # a repeated column name reads its last occurrence, as in csv.DictReader
-        where = {name: i for i, name in enumerate(header)}
-        picks = [where[name] for name in GPS_COLUMNS]
-        for users, lats, lons, stamps in _read_columns(fh, len(header), picks):
-            total += len(users)
-            if epoch_mode is None:
-                epoch_mode = _is_epoch(stamps)
-            if epoch_mode is None:
-                malformed += len(users)
-                continue
-            t, ok = _convert(stamps, float if epoch_mode else _iso_seconds)
-            lat, ok_lat = _convert(lats, float)
-            lon, ok_lon = _convert(lons, float)
-            # GeoPoint's rules: NaN fails every comparison, infinities the ranges
-            ok &= (ok_lat & ok_lon & (lat >= -90.0) & (lat <= 90.0)
-                   & (lon >= -180.0) & (lon <= 180.0)
-                   & (t >= _T_MIN) & (t <= _T_MAX))
-            ok &= np.fromiter(map(bool, users), bool, len(users))
-            malformed += len(users) - int(np.count_nonzero(ok))
-            if weekdays_only:
-                ok[ok] = local_hour_weekday(t[ok], zone)[1] < 5
-            keep = np.flatnonzero(ok)
-            users = list(compress(users, ok))
-            for u in dict.fromkeys(users):
-                codes.setdefault(u, len(codes))
-            code = np.fromiter(map(codes.__getitem__, users), np.int64, len(users))
-            batches.append((code, lat[keep], lon[keep], t[keep]))
+        points, codes, total, malformed = _read_points(fh, path, weekdays_only, zone)
     if total > 0 and malformed * 2 > total:
         raise DataError(f"{path}: {malformed} of {total} rows malformed")
     if malformed:
         logger.info("parse_gps skipped %d of %d malformed rows", malformed, total)
-    code, lat, lon, t = (np.concatenate(col) for col in zip(*batches))
-    batches.clear()
     names = sorted(codes)
     rank = np.empty(len(names), dtype=np.int64)
     rank[[codes[name] for name in names]] = np.arange(len(names))
-    user = rank[code]
-    order = np.lexsort((t, user))
-    points = np.recarray(len(order), dtype=POINT_DTYPE)
-    for name, column in zip(POINT_DTYPE.names, (user, lat, lon, t)):
-        points[name] = column[order]
+    user, t = points.user, points.t
+    user[:] = rank[user]
+    # a file already in (user, time) order, as traces often come, needs
+    # no sort; otherwise the fields are permuted one at a time
+    if np.any(user[1:] < user[:-1]) or np.any((user[1:] == user[:-1]) & (t[1:] < t[:-1])):
+        order = np.lexsort((t, user))
+        for name in POINT_DTYPE.names:
+            points[name] = points[name][order]
     return Trajectories(names, points), malformed
 
 
@@ -299,7 +334,9 @@ def detect_activities(points: np.ndarray,
     extends while points remain within max_distance_m of the anchor, an
     activity is emitted when the span lasts at least min_duration_s, and
     the scan resumes at the first point beyond the radius.  Centroids
-    are arithmetic means.
+    are arithmetic means, each stay's points added left to right, so they
+    do not depend on the Python version (the builtin sum compensates its
+    float additions from 3.12 on).
 
     Returns a STAY_DTYPE record array in (user, time) order.
     """
@@ -311,18 +348,20 @@ def detect_activities(points: np.ndarray,
     if np.any(same_user & (t[1:] < t[:-1])):
         raise ValueError("trajectory points are not time-sorted")
 
-    # end[i]: one past the last point of i's user
+    # a user's points are [starts[u], stops[u])
     starts = np.flatnonzero(np.concatenate(([True], ~same_user)))
     stops = np.append(starts[1:], n)
-    end = np.repeat(stops, stops - starts)
-    phi = np.radians(lat)
-    cos_phi = np.cos(phi)
+
+    def end_of(i: np.ndarray) -> np.ndarray:
+        """One past the last point of each i's user."""
+        return stops[np.searchsorted(starts, i, side="right") - 1]
 
     def beyond(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether haversine_m(point i, point j) > max_distance_m."""
+        phi_i, phi_j = np.radians(lat[i]), np.radians(lat[j])
         dlmb = np.radians(lon[j] - lon[i])
-        h = (np.sin((phi[j] - phi[i]) / 2.0) ** 2
-             + cos_phi[i] * cos_phi[j] * np.sin(dlmb / 2.0) ** 2)
+        h = (np.sin((phi_j - phi_i) / 2.0) ** 2
+             + np.cos(phi_i) * np.cos(phi_j) * np.sin(dlmb / 2.0) ** 2)
         d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
         far = d > max_distance_m
         # numpy's sin and cos may round differently from the math
@@ -336,23 +375,26 @@ def detect_activities(points: np.ndarray,
         return far
 
     # nxt[i]: the first later point of i's user beyond the radius from i,
-    # or end[i]; -1 while unknown
+    # or the user's end; -1 while unknown.  The passes run over blocks of
+    # STAY_BLOCK anchors, so their temporaries do not grow with n.
     nxt = np.full(n, -1, dtype=np.int64)
-    i = np.arange(n)
-    for offset in range(1, STAY_PASSES + 1):
-        j = i + offset
-        done = j >= end[i]
-        nxt[i[done]] = end[i[done]]
-        i, j = i[~done], j[~done]
-        far = beyond(i, j)
-        nxt[i[far]] = j[far]
-        i = i[~far]
-        if not i.size:
-            break
+    for lo in range(0, n, STAY_BLOCK):
+        i = np.arange(lo, min(lo + STAY_BLOCK, n))
+        end = end_of(i)
+        for offset in range(1, STAY_PASSES + 1):
+            j = i + offset
+            done = j >= end
+            nxt[i[done]] = end[done]
+            i, j, end = i[~done], j[~done], end[~done]
+            far = beyond(i, j)
+            nxt[i[far]] = j[far]
+            i, end = i[~far], end[~far]
+            if not i.size:
+                break
 
     def first_beyond(k: int) -> int:
         """nxt[k] for an anchor still within the radius after the passes."""
-        lo, stop = k + STAY_PASSES + 1, int(end[k])
+        lo, stop = k + STAY_PASSES + 1, int(end_of(k))
         width = 2 * STAY_PASSES
         while lo < stop:
             j = np.arange(lo, min(lo + width, stop))
@@ -378,14 +420,26 @@ def detect_activities(points: np.ndarray,
     lasting = t[last] - t[first] >= min_duration_s
     first, last = first[lasting], last[lasting]
 
-    # the builtin sum, left to right, is the mean's definition
     size = last + 1 - first
     stays = np.recarray(len(first), dtype=STAY_DTYPE)
     stays.user = user[first]
-    spans = list(zip(first.tolist(), (last + 1).tolist()))
+    # a centroid is its stay's points added left to right, over their
+    # count.  Longest first, the stays longer than o are a prefix, and
+    # pass o adds point first + o to each of them at once; a stay longer
+    # than LOCKSTEP_POINTS is summed on its own, cumsum also running
+    # left to right
+    desc = np.argsort(-size, kind="stable")
+    size, head = size[desc], first[desc]
+    solo = int(np.count_nonzero(size > LOCKSTEP_POINTS))
+    # longer[o]: the stays after the solo ones that are longer than o
+    longer = len(size) - solo - np.cumsum(np.bincount(size[solo:]))
     for name, column in (("lat", lat), ("lon", lon)):
-        sums = (sum(column[a:b].tolist()) for a, b in spans)
-        stays[name] = np.fromiter(sums, np.float64, len(spans)) / size
+        sums = np.zeros(len(size))
+        for s, (a, count) in enumerate(zip(head[:solo].tolist(), size[:solo].tolist())):
+            sums[s] = np.cumsum(column[a:a + count])[-1]
+        for offset, c in enumerate(longer.tolist()):
+            sums[solo:solo + c] += column[head[solo:solo + c] + offset]
+        stays[name][desc] = sums / size
     stays.t_a = t[first]
     stays.t_l = t[last]
     return stays

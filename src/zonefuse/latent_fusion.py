@@ -116,13 +116,16 @@ class LatentFactors:
     @classmethod
     def load(cls, directory, names=None) -> "LatentFactors":
         """Read the blocks in `names`, by default every block written;
-        the others are None."""
+        the others are None.  A block whose recorded shape is not 2-d
+        raises ValueError."""
         d = Path(directory)
         with open(d / "shapes.json") as fh:
             manifest = json.load(fh)
         blocks = dict.fromkeys(FACTOR_NAMES)
         for name in manifest["shapes"] if names is None else names:
             shape = tuple(manifest["shapes"][name])
+            if len(shape) != 2:
+                raise ValueError(f"{name} has shape {list(shape)}, not a matrix")
             arr = np.fromfile(d / f"{name}.bin", dtype="<f8")
             if arr.size != int(np.prod(shape)):
                 raise ValueError(f"{name}.bin has {arr.size} values, expected shape {shape}")

@@ -4,10 +4,11 @@ Stages run in a fixed order, each reading the artifacts of the previous
 ones from the output directory and writing its own.  STAGE_IO declares
 what every stage reads (config keys and files) and writes.  The manifest
 records, per stage, the values of the keys and the sha256 of the files
-it read, plus timings and the sha256 of its outputs.  A stage is fresh,
-and a rerun skips it, when its inputs are unchanged and its outputs on
-disk still match their recorded hashes; so an edit reruns only the stages
-that read what changed, and the stages whose input bytes changed in turn.
+it read, plus timings, the process's peak resident memory so far and the
+sha256 of its outputs.  A stage is fresh, and a rerun skips it, when its
+inputs are unchanged and its outputs on disk still match their recorded
+hashes; so an edit reruns only the stages that read what changed, and
+the stages whose input bytes changed in turn.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -425,6 +427,8 @@ class Pipeline:
             raise DataError(f"stage {stage!r} failed: {exc}") from exc
         entry = {
             "seconds": time.perf_counter() - started,
+            # the process's resident high-water mark so far; kB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "inputs": inputs,
             "outputs": {rel: self._digest(self.out / rel, reread=True)
                         for rel in io.outputs},

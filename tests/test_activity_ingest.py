@@ -1,6 +1,9 @@
 import csv
 import datetime as dt
+import functools
 import json
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from zonefuse.activity_ingest import (
     KIND_ARRIVING,
     KIND_LEAVING,
     KINDS,
+    LOCKSTEP_POINTS,
     POINT_DTYPE,
     STAY_DTYPE,
     TRIP_DTYPE,
@@ -48,6 +52,11 @@ def trip_rows(trip_records):
     return [(KINDS[k], o, d, t) for k, o, d, t in trip_records.tolist()]
 
 
+def fold(values):
+    """Left-to-right float sum; the builtin sum compensates from Python 3.12."""
+    return functools.reduce(operator.add, values)
+
+
 def oracle_detect(points, dr, tr):
     """Reference stay detection written directly from the definition.
 
@@ -69,8 +78,8 @@ def oracle_detect(points, dr, tr):
         m = (beyond - 1) if beyond is not None else n - 1
         if points[m].t - points[k].t >= tr:
             span = points[k:m + 1]
-            out.append((sum(p.lat for p in span) / len(span),
-                        sum(p.lon for p in span) / len(span),
+            out.append((fold(p.lat for p in span) / len(span),
+                        fold(p.lon for p in span) / len(span),
                         points[k].t, points[m].t))
         k = m + 1
     return out
@@ -116,6 +125,15 @@ class TestDetectActivities:
         assert len(acts) == 1
         assert acts[0].lat == 35.78 and acts[0].lon == -78.64
         assert acts[0].t_a == 0.0 and acts[0].t_l == 2400.0
+
+    def test_centroid_adds_left_to_right(self):
+        # 0.1 added ten times is 0.9999999999999999, not the exact 1.0 a
+        # compensated sum gives
+        pts = track([(0.1, 0.1, 600.0 * i) for i in range(10)])
+        acts = detect_activities(pts)
+        expected = fold([0.1] * 10) / 10
+        assert expected == 0.09999999999999999
+        assert acts.lat.tolist() == acts.lon.tolist() == [expected]
 
     def test_short_dwell_not_emitted(self):
         pts = track([(35.78, -78.64, 0.0), (35.78, -78.64, 600.0)])
@@ -671,10 +689,81 @@ class TestDetectActivitiesAtScale:
         acts = self.check(track(rows), tr=60.0)
         assert len(acts) == 15
 
+    def test_stays_around_the_lockstep_cap(self):
+        # stays summed together and stays summed on their own, in one call,
+        # jittered so that the order of the additions shows
+        rng = np.random.default_rng(5)
+        rows, t, lat = [], 0.0, 35.70
+        for length in (LOCKSTEP_POINTS + 1, 3, LOCKSTEP_POINTS, 700, 2, 1):
+            for _ in range(length):
+                rows.append((lat + rng.uniform(-1e-4, 1e-4),
+                             -78.64 + rng.uniform(-1e-4, 1e-4), t))
+                t += 60.0
+            lat += 0.01
+        acts = self.check(track(rows), tr=60.0)
+        assert len(acts) == 5
+
     def test_users_out_of_order_rejected(self):
         pts = records([(1, 35.78, -78.64, 0.0), (0, 35.78, -78.64, 10.0)], POINT_DTYPE)
         with pytest.raises(ValueError):
             detect_activities(pts)
+
+
+# what one chunk of CSV lines takes while it is split and converted,
+# about 3 MB for 4096 lines of the trace below
+CHUNK_ALLOWANCE = 3_000_000
+
+
+@pytest.fixture(scope="module")
+def long_trace(tmp_path_factory):
+    """240k fixes, in time order across 480 users: one a minute, each
+    user dwelling 30 fixes at a place, jittered by about 10 m."""
+    rng = np.random.default_rng(11)
+    users, fixes = 480, 500
+    n = users * fixes
+    user = np.arange(n) % users
+    step = np.arange(n) // users
+    place = step // 30 + user
+    lat = 35.70 + 0.002 * (place % 50) + rng.uniform(-1e-4, 1e-4, n)
+    lon = -78.70 + 0.002 * (place % 37) + rng.uniform(-1e-4, 1e-4, n)
+    t = 1520000000 + 60 * step
+    path = tmp_path_factory.mktemp("long_trace") / "gps.csv"
+    with open(path, "w") as fh:
+        fh.write("user_id,lat,lon,timestamp\n")
+        fh.writelines(map("u{},{!r},{!r},{}\n".format, user.tolist(), lat.tolist(),
+                          lon.tolist(), t.tolist()))
+    order = np.lexsort((t, user))
+    points = np.rec.fromarrays([user[order], lat[order], lon[order], t[order]],
+                               dtype=POINT_DTYPE)
+    return path, points
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and how far its allocations peaked above those before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+class TestIngestMemory:
+    """The ingest temporaries are bounded by the points, not copies of them."""
+
+    def test_parse_peak(self, long_trace):
+        path, points = long_trace
+        (trajectories, _), peak = traced_peak(parse_gps, path)
+        assert len(trajectories.points) == len(points)
+        assert peak <= 2.2 * len(points) * POINT_DTYPE.itemsize + CHUNK_ALLOWANCE
+
+    def test_detect_activities_peak(self, long_trace):
+        _, points = long_trace
+        stays, peak = traced_peak(detect_activities, points)
+        assert len(stays) > 0
+        assert peak <= 1.6 * points.nbytes + CHUNK_ALLOWANCE
 
 
 def near_boundaries(rng):

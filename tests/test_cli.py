@@ -1,4 +1,6 @@
 """CLI verbs, overrides, and exit codes."""
+import json
+
 import pytest
 
 import zonefuse.pipeline
@@ -166,6 +168,19 @@ class TestExitCodes:
         assert main([verb] + base) == 3
         err = capsys.readouterr().err
         assert "data error" in err and path.name in err
+
+    def test_one_dimensional_factor_shape_exits_three(self, city, tmp_path, capsys):
+        base = ["--config", str(city / "config.txt"), "--out-dir", str(tmp_path / "v"),
+                "--set", "max_iter=20", "--set", "k=4",
+                "--set", "method=crf", "--set", "feature=latent_v"]
+        assert main(["run"] + base) == 0
+        shapes = tmp_path / "v" / "factors" / "shapes.json"
+        # the same values, recorded as one dimension
+        shapes.write_text(json.dumps({"shapes": {"V": [4 * 36]}}))
+        capsys.readouterr()
+        assert main(["cluster"] + base) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "shapes.json" in err and "not a matrix" in err
 
     @pytest.mark.parametrize("method,feature,setting,bound", [
         ("crf", "latent_v", "zones=100", "[1, 36]"),

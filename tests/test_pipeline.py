@@ -58,6 +58,12 @@ class TestFullRun:
         assert manifest["config_hash"] == cfg.config_hash()
         assert (out / "config.txt").exists()
 
+    def test_peak_rss_never_decreases_across_stages(self, city):
+        manifest = run(variant(city, "rss"), force=True)
+        peaks = [manifest["stages"][stage]["peak_rss_mb"] for stage in STAGES]
+        assert peaks[0] > 0
+        assert peaks == sorted(peaks)
+
     def test_stage_notes_carry_counts(self, city):
         cfg = variant(city, "full")
         manifest = run(cfg)  # fresh, so this is a no-op replay
