@@ -62,10 +62,6 @@ STAY_PASSES = 32
 # anchors per batch of those passes, so that their temporaries take a
 # few MB however long the traces are
 STAY_BLOCK = 16384
-# stays of up to this many points have their centroids summed together,
-# one pass per point; each longer stay is summed on its own, so a trace
-# with long stays does not cost one pass per point of its longest stay
-LOCKSTEP_POINTS = 256
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # epoch seconds that datetime.fromtimestamp turns into a date under any
@@ -315,12 +311,9 @@ def parse_gps(path, weekdays_only: bool = False,
     rank[[codes[name] for name in names]] = np.arange(len(names))
     user, t = points.user, points.t
     user[:] = rank[user]
-    # a file already in (user, time) order, as traces often come, needs
-    # no sort; otherwise the fields are permuted one at a time
-    if np.any(user[1:] < user[:-1]) or np.any((user[1:] == user[:-1]) & (t[1:] < t[:-1])):
-        order = np.lexsort((t, user))
-        for name in POINT_DTYPE.names:
-            points[name] = points[name][order]
+    order = np.lexsort((t, user))
+    for name in POINT_DTYPE.names:
+        points[name] = points[name][order]
     return Trajectories(names, points), malformed
 
 
@@ -425,20 +418,15 @@ def detect_activities(points: np.ndarray,
     stays.user = user[first]
     # a centroid is its stay's points added left to right, over their
     # count.  Longest first, the stays longer than o are a prefix, and
-    # pass o adds point first + o to each of them at once; a stay longer
-    # than LOCKSTEP_POINTS is summed on its own, cumsum also running
-    # left to right
+    # pass o adds point first + o to each of them at once
     desc = np.argsort(-size, kind="stable")
     size, head = size[desc], first[desc]
-    solo = int(np.count_nonzero(size > LOCKSTEP_POINTS))
-    # longer[o]: the stays after the solo ones that are longer than o
-    longer = len(size) - solo - np.cumsum(np.bincount(size[solo:]))
+    # longer[o]: the number of stays longer than o
+    longer = len(size) - np.cumsum(np.bincount(size))
     for name, column in (("lat", lat), ("lon", lon)):
         sums = np.zeros(len(size))
-        for s, (a, count) in enumerate(zip(head[:solo].tolist(), size[:solo].tolist())):
-            sums[s] = np.cumsum(column[a:a + count])[-1]
         for offset, c in enumerate(longer.tolist()):
-            sums[solo:solo + c] += column[head[solo:solo + c] + offset]
+            sums[:c] += column[head[:c] + offset]
         stays[name][desc] = sums / size
     stays.t_a = t[first]
     stays.t_l = t[last]

@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 import os
-import resource
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -93,6 +93,18 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's resident high-water mark so far, in MiB, or None
+    where there is no getrusage."""
+    try:
+        import resource
+    except ImportError:  # Windows has no getrusage
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # bytes on macOS, kB elsewhere
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 @contextmanager
@@ -427,8 +439,7 @@ class Pipeline:
             raise DataError(f"stage {stage!r} failed: {exc}") from exc
         entry = {
             "seconds": time.perf_counter() - started,
-            # the process's resident high-water mark so far; kB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": _peak_rss_mb(),
             "inputs": inputs,
             "outputs": {rel: self._digest(self.out / rel, reread=True)
                         for rel in io.outputs},

@@ -12,7 +12,6 @@ from zonefuse.activity_ingest import (
     KIND_ARRIVING,
     KIND_LEAVING,
     KINDS,
-    LOCKSTEP_POINTS,
     POINT_DTYPE,
     STAY_DTYPE,
     TRIP_DTYPE,
@@ -689,12 +688,12 @@ class TestDetectActivitiesAtScale:
         acts = self.check(track(rows), tr=60.0)
         assert len(acts) == 15
 
-    def test_stays_around_the_lockstep_cap(self):
-        # stays summed together and stays summed on their own, in one call,
+    def test_stays_of_mixed_lengths_in_one_call(self):
+        # centroids summed together over stays of very different lengths,
         # jittered so that the order of the additions shows
         rng = np.random.default_rng(5)
         rows, t, lat = [], 0.0, 35.70
-        for length in (LOCKSTEP_POINTS + 1, 3, LOCKSTEP_POINTS, 700, 2, 1):
+        for length in (257, 3, 256, 700, 2, 1):
             for _ in range(length):
                 rows.append((lat + rng.uniform(-1e-4, 1e-4),
                              -78.64 + rng.uniform(-1e-4, 1e-4), t))

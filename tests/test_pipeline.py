@@ -2,6 +2,7 @@
 import json
 import re
 import shutil
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -63,6 +64,11 @@ class TestFullRun:
         peaks = [manifest["stages"][stage]["peak_rss_mb"] for stage in STAGES]
         assert peaks[0] > 0
         assert peaks == sorted(peaks)
+
+    def test_peak_rss_is_null_without_getrusage(self, monkeypatch):
+        # a None entry makes the import fail, as on Windows
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert zonefuse.pipeline._peak_rss_mb() is None
 
     def test_stage_notes_carry_counts(self, city):
         cfg = variant(city, "full")
