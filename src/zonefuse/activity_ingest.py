@@ -167,7 +167,9 @@ def _read_columns(fh, width: int, picks: list[int]):
     other chunk goes through csv.reader, which reads on past the chunk to
     finish a quoted field that spans lines.  As in csv.DictReader, blank
     rows are skipped.  The missing fields of a short row read as empty,
-    which every field rejects just as it rejects DictReader's None.
+    which every field rejects just as it rejects DictReader's None.  Only
+    the picked columns outlive a chunk: its lines, text and split fields
+    are dropped before the next chunk is read.
     """
     while True:
         lines = list(islice(fh, CHUNK_LINES))
@@ -185,12 +187,16 @@ def _read_columns(fh, width: int, picks: list[int]):
                 row = next(reader)
                 if row:
                     rows.append(row)
-            yield [[row[i] if i < len(row) else "" for row in rows] for i in picks]
+            columns = [[row[i] if i < len(row) else "" for row in rows] for i in picks]
+            del lines, text, reader, rows
         else:
-            if text.endswith("\n"):
-                text = text[:-1]
-            fields = text.replace("\n", ",").split(",")
-            yield [fields[i::width] for i in picks]
+            del lines
+            text = text.removesuffix("\n").replace("\n", ",")
+            fields = text.split(",")
+            del text
+            columns = [fields[i::width] for i in picks]
+            del fields
+        yield columns
 
 
 class Trajectories(Mapping):
@@ -275,6 +281,8 @@ def _read_points(fh, path, weekdays_only: bool,
         rows.user = np.fromiter(map(codes.__getitem__, users), np.int64, len(users))
         rows.lat, rows.lon, rows.t = lat[ok], lon[ok], t[ok]
         filled += len(users)
+        # the chunk's strings are not held while the next chunk is read
+        del users, lats, lons, stamps
     return points[:filled], codes, total, malformed
 
 

@@ -3,24 +3,30 @@
 Learns one latent representation per region from two views at once: the
 masked POI matrix P (category x region, observed columns only) and the
 activity matrix T (hour-origin rows x region).  A region is observed as
-a whole column or not at all; with o the observed columns, six factor
-blocks are fit by block coordinate descent on
+a whole column or not at all.  With o the observed columns and Tn the
+columns of T scaled to unit length (an empty column stays zero), six
+factor blocks are fit by block coordinate descent on
 
     0.5 ||P_o - U V_o||^2
-  + (l1/2) ||Q T - Z||^2        activity transformed into latent space
+  + (l1/2) ||Tn - Q^T Z||^2     activity reconstructed from the latent view
   + (l2/2) ||Z - U^T A||^2      latent view tied to a sparse POI code A
   + l3 ||A||_1
-  + (l4/2) ||V - W Z||^2        POI-side and activity-side columns coupled
-  + (l5/2) (||U||^2 + ||V||^2 + ||Q||^2 + ||W||^2)
+  + (l4/2) ||V_o - W Z_o||^2    POI-side and activity-side columns coupled
+  + (l5/2) (||U||^2 + ||V_o||^2 + ||Q||^2 + ||W||^2)
+
+The activity term fits T from Z, as collective matrix factorization
+(Singh & Gordon 2008) and DRoF (Yuan, Zheng & Xie 2012) do, so a region
+without venues gets its latent vector from its activity alone.  An
+unobserved column of V has no term; `fit` returns it as W Z_u.
 
 Each sweep sets the blocks U, V, Q, Z, A, W in turn to the minimiser of
 their own subproblem by a linear solve; A takes one proximal-gradient
 step of size 1/L instead, L the Lipschitz constant of its smooth part.
 No update can raise the objective, and there is no step size to tune.
-The Q block (k x q) is never formed: the sweep needs only Q T and
-||Q||^2, which come from Y M = Z with the regions x regions
-M = l1 T^T T + l5 I, solved through a Cholesky factor of min(m, r)
-order, m the rows of T with two or more entries (see `_q_solver`).
+The Q block (k x q) is never formed: with G = l1 Z Z^T + l5 I and
+K = Tn^T Tn its minimiser is Q = l1 G^-1 Z Tn^T, so the Z step needs only
+Q Tn = l1 G^-1 (Z K) and Q Q^T = l1^2 G^-1 (Z K Z^T) G^-1, k x k work
+once Z K is known (see `_k_times`).
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ import csv
 import json
 import logging
 import math
-import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -43,10 +48,8 @@ TERM_NAMES = ("recon", "transform", "z_recon", "l1", "regression", "ridge")
 
 FACTOR_NAMES = ("U", "V", "Q", "Z", "A", "W")
 
-# the dense Cholesky's block size: the diagonal blocks np.linalg.cholesky
-# factors and inverts, and the width of each GEMM panel
-_BLOCK = 256
-# pairs of entries of T summed into T^T T at a time
+# pairs of entries of T summed into T^T T at a time, and values of K
+# mirrored across its diagonal at a time
 _PAIRS_PER_BATCH = 1 << 16
 
 
@@ -83,7 +86,8 @@ class Hyperparams:
 class LatentFactors:
     """The six factor blocks; shapes follow P (p x r) and T (q x r).
 
-    `fit` returns Q as None: its sweeps need only Q T, and no stage reads Q.
+    `fit` returns Q as None: its sweeps need only Q Tn and Q Q^T, and no
+    stage reads Q.
     """
 
     U: np.ndarray  # p x k
@@ -142,9 +146,7 @@ class FitTrace:
     terms: list[dict[str, float]] = field(default_factory=list)
     stop_reason: str = "max_iter"
     relative_decrease: float = 0.0  # of the last sweep
-    q_factor: str = ""  # how the Q step is solved: cholesky, woodbury or pinv
-    q_order: int = 0  # order of the matrix factored: r for M, m for Woodbury's C
-    q_factor_s: float = 0.0  # time to build and factor that matrix
+    k_path: str = ""  # how Z K is applied: dense or triples
 
     def append(self, it: int, total: float, terms: dict[str, float]) -> None:
         self.iters.append(it)
@@ -170,7 +172,8 @@ def soft_threshold(x: np.ndarray | float, threshold: float):
 def _checked(P, observed, T, f: LatentFactors,
              h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
     """P as a float array and observed, one flag per region, as a bool
-    array, once every shape agrees with P."""
+    array, once every shape agrees with P; a block that is None is not
+    checked."""
     P = np.asarray(P, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
     p, r = P.shape
@@ -179,41 +182,36 @@ def _checked(P, observed, T, f: LatentFactors,
                 "Q": (k, q), "Z": (k, r), "A": (p, r), "W": (k, k)}
     given = {"observed": observed, "T": T, **vars(f)}
     for name, shape in expected.items():
-        if given[name].shape != shape:
+        if given[name] is not None and given[name].shape != shape:
             raise ValueError(f"{name} has shape {given[name].shape}, expected {shape}")
     return P, observed
 
 
-def _times(X, T, transpose: bool = False) -> np.ndarray:
-    """X @ T, or X @ T^T with transpose; a CooMatrix is summed over its
-    triples, any other T multiplies as it is."""
-    if not isinstance(T, CooMatrix):
-        return X @ (T.T if transpose else T)
-    src, dst = (T.col, T.row) if transpose else (T.row, T.col)
-    n = T.shape[0] if transpose else T.shape[1]
-    out = np.zeros((len(X), n))
-    for x, o in zip(X, out):
-        np.add.at(o, dst, x[src] * T.data)
-    return out
+def _unit_columns(T) -> tuple[CooMatrix, int]:
+    """Tn, T with each column scaled to unit length, and the count of its
+    nonzero columns, the trace of Tn^T Tn; a zero column stays zero."""
+    T = CooMatrix.of(T)
+    norms = np.sqrt(np.bincount(T.col, weights=T.data ** 2, minlength=T.shape[1]))
+    # a column of stored zeros has norm 0, and its entries stay 0
+    divisor = np.where(norms > 0, norms, 1.0)
+    return (CooMatrix(T.row, T.col, T.data / divisor[T.col], T.shape),
+            int(np.count_nonzero(norms)))
 
 
-def _residuals(QT, f: LatentFactors):
-    """The residuals of the three coupling terms, given Q T."""
-    return QT - f.Z, f.Z - f.U.T @ f.A, f.V - f.W @ f.Z
-
-
-def _objective(P, observed, QT, q_sq: float, f: LatentFactors,
+def _objective(P, observed, transform: float, q_sq: float, f: LatentFactors,
                h: Hyperparams) -> tuple[float, dict[str, float]]:
-    """The objective with the Q block given as Q T and ||Q||^2."""
-    R = P[:, observed] - f.U @ f.V[:, observed]
-    E, S, D = _residuals(QT, f)
+    """The objective with the activity term and ||Q||^2 given."""
+    V = f.V[:, observed]
+    R = P[:, observed] - f.U @ V
+    S = f.Z - f.U.T @ f.A
+    D = V - f.W @ f.Z[:, observed]
     terms = {
         "recon": 0.5 * float((R * R).sum()),
-        "transform": 0.5 * h.lambda1 * float((E * E).sum()),
+        "transform": transform,
         "z_recon": 0.5 * h.lambda2 * float((S * S).sum()),
         "l1": h.lambda3 * float(np.abs(f.A).sum()),
         "regression": 0.5 * h.lambda4 * float((D * D).sum()),
-        "ridge": 0.5 * h.lambda5 * float((f.U * f.U).sum() + (f.V * f.V).sum()
+        "ridge": 0.5 * h.lambda5 * float((f.U * f.U).sum() + (V * V).sum()
                                          + q_sq + (f.W * f.W).sum()),
     }
     return sum(terms.values()), terms
@@ -221,10 +219,12 @@ def _objective(P, observed, QT, q_sq: float, f: LatentFactors,
 
 def objective(P, observed, T, f: LatentFactors,
               h: Hyperparams) -> tuple[float, dict[str, float]]:
-    """Total objective and its per-term breakdown; T is dense, a
-    CooMatrix, or anything with `tocoo()`."""
+    """Total objective and its per-term breakdown at the Q of f; T is
+    dense, a CooMatrix, or anything with `tocoo()`."""
     P, observed = _checked(P, observed, T, f, h)
-    return _objective(P, observed, _times(f.Q, T), float(np.vdot(f.Q, f.Q)), f, h)
+    E = _unit_columns(T)[0].toarray() - f.Q.T @ f.Z
+    return _objective(P, observed, 0.5 * h.lambda1 * float((E * E).sum()),
+                      float(np.vdot(f.Q, f.Q)), f, h)
 
 
 def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.ndarray]:
@@ -235,30 +235,29 @@ def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.
     """
     P, observed = _checked(P, observed, T, f, h)
     R = (P - f.U @ f.V) * observed
-    E, S, D = _residuals(_times(f.Q, T), f)
+    E = _unit_columns(T)[0].toarray() - f.Q.T @ f.Z
+    S = f.Z - f.U.T @ f.A
+    D = (f.V - f.W @ f.Z) * observed
     return {
         "U": -R @ f.V.T - h.lambda2 * (f.A @ S.T) + h.lambda5 * f.U,
-        "V": -f.U.T @ R + h.lambda4 * D + h.lambda5 * f.V,
-        "Q": h.lambda1 * _times(E, T, transpose=True) + h.lambda5 * f.Q,
-        "Z": -h.lambda1 * E + h.lambda2 * S - h.lambda4 * (f.W.T @ D),
+        "V": -f.U.T @ R + h.lambda4 * D + h.lambda5 * f.V * observed,
+        "Q": -h.lambda1 * (f.Z @ E.T) + h.lambda5 * f.Q,
+        "Z": -h.lambda1 * (f.Q @ E) + h.lambda2 * S - h.lambda4 * (f.W.T @ D),
         # smooth part only; the L1 term is handled by the proximal step
         "A": -h.lambda2 * (f.U @ S),
         "W": -h.lambda4 * (D @ f.Z.T) + h.lambda5 * f.W,
     }
 
 
-def init_factors(p: int, r: int, q: int, h: Hyperparams) -> LatentFactors:
-    """Seeded Gaussian(0, 0.01) initialization, drawn in block order.
-
-    Q starts at zero: `fit` reads it only for the initial objective and
-    returns it as None, and untouched zeros cost no memory.
-    """
+def init_factors(p: int, r: int, h: Hyperparams) -> LatentFactors:
+    """Seeded Gaussian(0, 0.01) initialization, drawn in block order; Q,
+    which `fit` never forms, is None."""
     rng = np.random.default_rng(h.seed)
     k = h.k
     return LatentFactors(
         U=rng.normal(0.0, 0.01, (p, k)),
         V=rng.normal(0.0, 0.01, (k, r)),
-        Q=np.zeros((k, q)),
+        Q=None,
         Z=rng.normal(0.0, 0.01, (k, r)),
         A=rng.normal(0.0, 0.01, (p, r)),
         W=rng.normal(0.0, 0.01, (k, k)),
@@ -296,13 +295,10 @@ def _update_U(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
 
 def _update_V(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
     # Every observed region's k x k system has the one matrix
-    # U^T U + (l4 + l5) I.  An unobserved region's is (l4 + l5) v = l4 (W Z)_j;
-    # with no term on it (l4 + l5 = 0) its column keeps its value.
-    WZ = h.lambda4 * (f.W @ f.Z)
-    c = h.lambda4 + h.lambda5
-    V = WZ / c if c > 0 else f.V.copy()
-    H = f.U.T @ f.U + c * np.eye(h.k)
-    B = f.U.T @ P[:, observed] + WZ[:, observed]
+    # U^T U + (l4 + l5) I; an unobserved column has no term and keeps its value.
+    V = f.V.copy()
+    H = f.U.T @ f.U + (h.lambda4 + h.lambda5) * np.eye(h.k)
+    B = f.U.T @ P[:, observed] + h.lambda4 * (f.W @ f.Z[:, observed])
     V[:, observed] = _argmin(H, B, f.V[:, observed])
     return V
 
@@ -334,111 +330,83 @@ def _gram_lower(T: CooMatrix) -> np.ndarray:
     return G
 
 
-def _cholesky(M: np.ndarray) -> list[np.ndarray]:
-    """Overwrite the lower triangle of M with its Cholesky factor L, in
-    blocks of _BLOCK columns, and return the inverse of each diagonal
-    block of L.  Only the lower triangle of M is read; the strict upper
-    triangle of each diagonal block is zeroed, the rest left as it is.
-
-    Left-looking: a block column takes one GEMM update from the columns
-    left of it, then its diagonal block is factored by np.linalg.cholesky
-    and the panel below is multiplied by that block's inverse.
-    """
-    r = len(M)
-    inverses = []
-    for j in range(0, r, _BLOCK):
-        b, below = slice(j, j + _BLOCK), slice(j + _BLOCK, r)
-        if j:
-            M[j:, b] -= M[j:, :j] @ M[b, :j].T
-        L = np.linalg.cholesky(M[b, b])
-        inverse = np.linalg.inv(L)
-        M[b, b] = L
-        M[below, b] = M[below, b] @ inverse.T
-        inverses.append(inverse)
-    return inverses
+def _row_lengths(T: CooMatrix) -> np.ndarray:
+    """The entries of each nonempty row of T, rows in order."""
+    return np.diff(np.flatnonzero(np.diff(T.row, prepend=-1)), append=T.nnz)
 
 
-def _cho_solve(L: np.ndarray, inverses: list[np.ndarray], Z: np.ndarray) -> np.ndarray:
-    """The Y of Y L L^T = Z, L and inverses as _cholesky leaves them: a
-    blocked forward substitution X L^T = Z, then a backward one Y L = X."""
-    r = len(L)
-    Y = Z.copy()
-    starts = range(0, r, _BLOCK)
-    for j, inverse in zip(starts, inverses):
-        b = slice(j, j + _BLOCK)
-        Y[:, b] -= Y[:, :j] @ L[b, :j].T
-        Y[:, b] = Y[:, b] @ inverse.T
-    for j, inverse in zip(reversed(starts), reversed(inverses)):
-        b, below = slice(j, j + _BLOCK), slice(j + _BLOCK, r)
-        Y[:, b] -= Y[:, below] @ L[below, b]
-        Y[:, b] = Y[:, b] @ inverse
-    return Y
+def _dense_k(Tn: CooMatrix):
+    """Z -> Z K through K = Tn^T Tn built dense: its lower triangle from
+    the pairs of entries sharing a row, mirrored into the upper one in
+    place, a band of rows at a time."""
+    K = _gram_lower(Tn)
+    r = len(K)
+    step = max(1, _PAIRS_PER_BATCH // r)
+    for lo in range(0, r, step):
+        hi = lo + step
+        band = K[lo:hi, lo:hi]
+        band += np.tril(band, -1).T
+        K[lo:hi, hi:] = K[hi:, lo:hi].T
+    return lambda Z: Z @ K
 
 
-def _q_solver(T, h: Hyperparams):
-    """The Q update as (factorization name, order of the matrix factored,
-    map Z -> (Y, Q T)), where Q = l1 Y T^T.
-
-    The minimiser solves Q (l1 T T^T + l5 I) = l1 Z T^T (q x q); pushed
-    through T this is Y M = Z with the r x r M = l1 T^T T + l5 I, and
-    Q T = Z - l5 Y.  A row of T with one entry adds only to the diagonal
-    of M, so M = D + l1 B^T B, D diagonal and B the m rows of T with two
-    or more entries.  When m < r, the Woodbury identity gives
-
-        Y = Z D^-1 - l1 (Z D^-1 B^T) C^-1 (B D^-1),  C = I + l1 B D^-1 B^T,
-
-    m x m; otherwise M is built dense from T's triples.  Either matrix is
-    factored once by the blocked Cholesky in numpy, so the one factored is
-    min(m, r) square.  With l5 = 0, M may be singular and the least-norm
-    minimiser is taken.
-    """
-    T = CooMatrix.of(T)
-    r = T.shape[1]
-    if h.lambda5 == 0:
-        M = h.lambda1 * _gram_lower(T)
-        M += np.tril(M, -1).T
-        M_pinv = np.linalg.pinv(M, hermitian=True)
-        return "pinv", r, lambda Z: (Z @ M_pinv, Z @ M_pinv @ M)
-    per_row = np.diff(np.flatnonzero(np.diff(T.row, prepend=-1)), append=T.nnz)
-    m = int(np.count_nonzero(per_row > 1))
-    if m >= r:
-        M = _gram_lower(T)
-        M *= h.lambda1
-        M.reshape(-1)[::r + 1] += h.lambda5
-        inverses = _cholesky(M)
-
-        def solve(Z):
-            Y = _cho_solve(M, inverses, Z)
-            return Y, Z - h.lambda5 * Y
-        return "cholesky", r, solve
+def _triples_k(Tn: CooMatrix):
+    """Z -> Z K from Tn's triples: a row with one entry adds only to K's
+    diagonal d, so Z K = Z diag(d) + (Z B^T) B, B the m rows with two or
+    more entries, one np.bincount per latent row and product."""
+    r = Tn.shape[1]
+    per_row = _row_lengths(Tn)
     in_B = np.repeat(per_row > 1, per_row)
-    d = h.lambda5 + h.lambda1 * np.bincount(T.col[~in_B], weights=T.data[~in_B] ** 2,
-                                            minlength=r)
+    d = np.bincount(Tn.col[~in_B], weights=Tn.data[~in_B] ** 2, minlength=r)
+    m = int(np.count_nonzero(per_row > 1))
     # B's triples, its rows numbered 0..m-1
     row = np.repeat(np.arange(m), per_row[per_row > 1])
-    col, data = T.col[in_B], T.data[in_B]
-    # C - I = X^T X, X = (B D^-1/2)^T sqrt(l1), r x m with its triples
-    # sorted by B's column; a stable sort keeps B's rows ascending in each
-    order = np.argsort(col, kind="stable")
-    C = _gram_lower(CooMatrix(col[order], row[order],
-                              (data * np.sqrt(h.lambda1 / d[col]))[order], (r, m)))
-    C.reshape(-1)[::m + 1] += 1.0
-    inverses = _cholesky(C)
+    col, data = Tn.col[in_B], Tn.data[in_B]
 
-    def solve(Z):
-        ZB = np.array([np.bincount(row, weights=z[col] * data, minlength=m)
-                       for z in Z / d])
-        H = _cho_solve(C, inverses, ZB)
-        HB = np.array([np.bincount(col, weights=x[row] * data, minlength=r) for x in H])
-        Y = (Z - h.lambda1 * HB) / d
-        return Y, Z - h.lambda5 * Y
-    return "woodbury", m, solve
+    def times(Z):
+        ZB = [np.bincount(row, weights=z[col] * data, minlength=m) for z in Z]
+        return Z * d + np.array([np.bincount(col, weights=x[row] * data, minlength=r)
+                                 for x in ZB])
+    return times
 
 
-def _update_Z(QT, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    H = (h.lambda1 + h.lambda2) * np.eye(h.k) + h.lambda4 * (f.W.T @ f.W)
-    B = h.lambda1 * QT + h.lambda2 * (f.U.T @ f.A) + h.lambda4 * (f.W.T @ f.V)
-    return _argmin(H, B, f.Z)
+def _k_times(Tn: CooMatrix):
+    """(path, map Z -> Z K), K = Tn^T Tn: `dense` when r^2 < 100 nnz(B),
+    B the rows of Tn with two or more entries, else `triples`.  Applying
+    the dense K costs k r^2, the triples about k nnz(B) gathers."""
+    r = Tn.shape[1]
+    per_row = _row_lengths(Tn)
+    if r * r < 100 * int(per_row[per_row > 1].sum()):
+        return "dense", _dense_k(Tn)
+    return "triples", _triples_k(Tn)
+
+
+def _q_step(Z, ZK, nonempty: int, h: Hyperparams):
+    """Q's minimiser given Z, seen through k x k matrices: (Q Tn, Q Q^T,
+    the transform term and ||Q||^2 there).  With G = l1 Z Z^T + l5 I,
+    Q = l1 G^-1 Z Tn^T.  G can be singular only when l1 = 0 or l5 = 0;
+    `_argmin`'s pseudo-inverse then gives the least-norm Q.  The activity term with Q eliminated
+    is (l1/2) tr K - (l1^2/2) tr(G^-1 Z K Z^T), tr K = nonempty.
+    """
+    k = h.k
+    Gi = _argmin(h.lambda1 * (Z @ Z.T) + h.lambda5 * np.eye(k), np.eye(k),
+                 np.zeros((k, k)))
+    S = ZK @ Z.T
+    QQt = h.lambda1 ** 2 * (Gi @ S @ Gi)
+    q_sq = float(np.trace(QQt))
+    eliminated = 0.5 * h.lambda1 * (nonempty - h.lambda1 * float(np.vdot(Gi, S)))
+    return h.lambda1 * (Gi @ ZK), QQt, eliminated - 0.5 * h.lambda5 * q_sq, q_sq
+
+
+def _update_Z(QTn, QQt, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+    # two k x k systems: the observed columns' adds the regression term
+    H = h.lambda1 * QQt + h.lambda2 * np.eye(h.k)
+    B = h.lambda1 * QTn + h.lambda2 * (f.U.T @ f.A)
+    Z = _argmin(H, B, f.Z)
+    Z[:, observed] = _argmin(H + h.lambda4 * (f.W.T @ f.W),
+                             B[:, observed] + h.lambda4 * (f.W.T @ f.V[:, observed]),
+                             f.Z[:, observed])
+    return Z
 
 
 def prox_step_A(f: LatentFactors, h: Hyperparams) -> np.ndarray:
@@ -453,9 +421,10 @@ def prox_step_A(f: LatentFactors, h: Hyperparams) -> np.ndarray:
     return soft_threshold(f.A - grad / L, h.lambda3 / L)
 
 
-def _update_W(f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    H = h.lambda4 * (f.Z @ f.Z.T) + h.lambda5 * np.eye(h.k)
-    return _argmin(H, h.lambda4 * (f.Z @ f.V.T), f.W.T).T
+def _update_W(observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+    Z = f.Z[:, observed]
+    H = h.lambda4 * (Z @ Z.T) + h.lambda5 * np.eye(h.k)
+    return _argmin(H, h.lambda4 * (Z @ f.V[:, observed].T), f.W.T).T
 
 
 def fit(P, observed, T, h: Hyperparams,
@@ -465,37 +434,39 @@ def fit(P, observed, T, h: Hyperparams,
     Stops when a sweep lowers the objective f by at most
     epsilon * max(|f|, 1), f taken before the sweep, or with a warning
     after max_iter sweeps; the floor of 1 lets an objective that falls to
-    0 stop too.  A non-finite objective raises DivergenceError.  The trace
-    records the initial objective at iteration 0 and one row per sweep.
-    `observed` holds one flag per region (column of P).  T is dense, a
-    CooMatrix, or anything with `tocoo()`.  `init` is not modified.  The
-    factors returned hold Q as None: the sweeps take Q T and ||Q||^2 from
-    the Q step's solve, and forming the k x q block would serve no stage.
+    0 stop too.  The objective traced is the one with Q at its minimiser,
+    so the initial value does not depend on any Q.  A non-finite
+    objective raises DivergenceError.  The trace records the initial
+    objective at iteration 0 and one row per sweep.  `observed` holds one
+    flag per region (column of P).  T is dense, a CooMatrix, or anything
+    with `tocoo()`.  `init` is not modified and its Q is not read.  The
+    factors returned hold Q as None, and V's unobserved columns as W Z_u.
     """
     P = np.asarray(P, dtype=np.float64)
-    observed = np.asarray(observed, dtype=bool)
     T = CooMatrix.of(T)
     # every update assigns a new array, so a shallow copy protects init
-    f = replace(init) if init is not None else init_factors(*P.shape, T.shape[0], h)
-    total, terms = objective(P, observed, T, f, h)
+    f = replace(init, Q=None) if init is not None else init_factors(*P.shape, h)
+    P, observed = _checked(P, observed, T, f, h)
+    Tn, nonempty = _unit_columns(T)
+    trace = FitTrace()
+    trace.k_path, times_K = _k_times(Tn)
+    # Z K of the current Z: the objective's, then the next Q step's
+    ZK = times_K(f.Z)
+    QTn, QQt, transform, q_sq = _q_step(f.Z, ZK, nonempty, h)
+    total, terms = _objective(P, observed, transform, q_sq, f, h)
     if not np.isfinite(total):
         raise DivergenceError("objective is non-finite at the initial factors")
-    trace = FitTrace()
     trace.append(0, total, terms)
-    # the loop needs only Q T and ||Q||^2, so Q itself is never formed
-    started = time.perf_counter()
-    trace.q_factor, trace.q_order, solve_q = _q_solver(T, h)
-    trace.q_factor_s = time.perf_counter() - started
     prev = total
     for it in range(1, h.max_iter + 1):
         f.U = _update_U(P, observed, f, h)
         f.V = _update_V(P, observed, f, h)
-        Y, QT = solve_q(f.Z)
-        f.Z = _update_Z(QT, f, h)
+        f.Z = _update_Z(QTn, QQt, observed, f, h)
         f.A = prox_step_A(f, h)
-        f.W = _update_W(f, h)
-        q_sq = h.lambda1 * float((QT * Y).sum())
-        total, terms = _objective(P, observed, QT, q_sq, f, h)
+        f.W = _update_W(observed, f, h)
+        ZK = times_K(f.Z)
+        QTn, QQt, transform, q_sq = _q_step(f.Z, ZK, nonempty, h)
+        total, terms = _objective(P, observed, transform, q_sq, f, h)
         if not np.isfinite(total):
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         trace.append(it, total, terms)
@@ -505,10 +476,9 @@ def fit(P, observed, T, h: Hyperparams,
             trace.stop_reason = "converged"
             break
         prev = total
-    f.Q = None
+    f.V = np.where(observed, f.V, f.W @ f.Z)
     log = logger.info if trace.stop_reason == "converged" else logger.warning
-    log("fit stopped after %d iterations (%s), objective %.6g, last relative "
-        "decrease %.3g", trace.iters[-1], trace.stop_reason, total,
-        trace.relative_decrease)
+    log("fit stopped after %d iterations (%s, Z K %s), objective %.6g, last "
+        "relative decrease %.3g", trace.iters[-1], trace.stop_reason, trace.k_path,
+        total, trace.relative_decrease)
     return f, trace
-

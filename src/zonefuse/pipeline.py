@@ -347,8 +347,7 @@ class Pipeline:
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
                 "relative_decrease": trace.relative_decrease,
-                "q_factor": trace.q_factor, "q_order": trace.q_order,
-                "q_factor_s": trace.q_factor_s,
+                "k_path": trace.k_path,
                 "unobserved_norm_ratio": ratio}
 
     def _features(self) -> np.ndarray:

@@ -277,9 +277,9 @@ def write_city_config(spec: SynthCitySpec, city_dir,
                       **overrides) -> Path:
     """Write a ready-to-run config next to the generated city files.
 
-    Besides the grid geometry, the config pins solver weights rebalanced
-    for the activity counts these cities produce; the library defaults
-    suit much smaller matrices.  Any keyword override wins.
+    Besides the grid geometry, the config pins solver weights chosen for
+    these cities (lambda1 on held-out seeds); the library defaults suit
+    the small matrices of the tests.  Any keyword override wins.
     """
     city_dir = Path(city_dir)
     bbox = city_grid(spec).bbox
@@ -291,7 +291,7 @@ def write_city_config(spec: SynthCitySpec, city_dir,
         "out_dir": "out",
         "zones": str(spec.n_zones),
         "seed": str(spec.seed),
-        "lambda1": "5e-3", "lambda2": "1e-3", "lambda3": "1e-3",
+        "lambda1": "3", "lambda2": "1e-3", "lambda3": "1e-3",
         "lambda4": "1.0", "lambda5": "3.0",
     }
     for key, value in overrides.items():

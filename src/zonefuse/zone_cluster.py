@@ -8,6 +8,8 @@ by its shape (n_rows, n_cols), regions row-major, and its pairs are
 slices of the label grid.  Inference is iterated conditional modes from a
 k-means start, one numpy step per coding set of the lattice (Besag 1986),
 alternating with Gaussian refits (hard EM) until the labeling is stable.
+The zones share one pooled diagonal variance, and the start is the
+k-means run of lowest inertia among KMEANS_STARTS seeds.
 An exhaustive minimizer over all labelings is included for small grids so
 the local search can be audited.
 """
@@ -18,7 +20,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +31,8 @@ VARIANCE_FLOOR = 1e-6
 KMEANS_MAX_ITER = 100
 ICM_MAX_SWEEPS = 100
 CRF_MAX_ROUNDS = 50
+# k-means runs, seeds seed..seed + KMEANS_STARTS - 1, crf_fit starts from
+KMEANS_STARTS = 5
 
 EXHAUSTIVE_LIMIT = 2_000_000
 
@@ -65,14 +69,17 @@ def _lattice(shape, r: int) -> tuple[int, int]:
 @dataclass
 class CrfStats:
     """What one crf_fit did: its EM rounds, the ICM sweeps of all rounds,
-    the energy of the labels it returns, and why it stopped (converged,
+    the energy of the labels it returns, why it stopped (converged,
     max_rounds when EM reached CRF_MAX_ROUNDS, or max_sweeps when an ICM
-    call reached ICM_MAX_SWEEPS)."""
+    call reached ICM_MAX_SWEEPS), the inertia of each k-means start and
+    the index of the start kept."""
 
     em_rounds: int = 0
     icm_sweeps: int = 0
     energy: float = math.nan
     stop_reason: str = "converged"
+    start_inertias: list[float] = field(default_factory=list)
+    start: int = 0
 
 
 @dataclass
@@ -80,7 +87,7 @@ class ZoneModel:
     """Per-zone Gaussian parameters, smoothing weight, and the labeling."""
 
     means: np.ndarray      # c x d
-    variances: np.ndarray  # c x d, diagonal, floored
+    variances: np.ndarray  # c x d, diagonal, floored; crf_fit's rows are equal
     beta: float
     labels: np.ndarray     # region labels, shape (r,)
     stats: CrfStats | None = None  # set by crf_fit; not saved
@@ -150,7 +157,8 @@ def kmeans(F, c: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # |x - c|^2 less the |x|^2 every label shares, by one GEMM
+    d2 = (centroids * centroids).sum(axis=1) - 2.0 * (X @ centroids.T)
     return np.argmin(d2, axis=1).astype(np.int64)
 
 
@@ -171,18 +179,19 @@ def _update_centroids(X, labels, centroids, c):
 
 
 def fit_gaussians(F, labels: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label mean and floored diagonal variance (labels must be nonempty)."""
+    """Per-label means and one floored diagonal variance pooled over all
+    labels, the mean squared deviation from each point's own label mean,
+    tiled to c x d (labels must be nonempty)."""
     X = _points(F)
-    d = X.shape[1]
-    means = np.zeros((c, d))
-    variances = np.full((c, d), VARIANCE_FLOOR)
+    means = np.zeros((c, X.shape[1]))
     for j in range(c):
         members = X[labels == j]
         if members.shape[0] == 0:
             raise ValueError(f"label {j} has no members")
         means[j] = members.mean(axis=0)
-        variances[j] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
-    return means, variances
+    deviation = X - means[labels]
+    pooled = np.maximum((deviation * deviation).mean(axis=0), VARIANCE_FLOOR)
+    return means, np.tile(pooled, (c, 1))
 
 
 def _unary(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -294,18 +303,27 @@ def crf_fit(F, shape, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
     """Hard-EM zone fit on the (n_rows, n_cols) lattice: k-means start,
     Gaussian refit, ICM, repeat.
 
-    Labels emptied between rounds are re-seeded from the point farthest
-    from its zone mean, mirroring the k-means rule.  Stops when a round
-    leaves the labeling unchanged, or with a warning after CRF_MAX_ROUNDS.
-    The model's `stats` records the rounds, the sweeps, the final energy
-    and the stop reason.
+    The start is the lowest-inertia labeling of KMEANS_STARTS k-means runs,
+    seeds seed, seed + 1, ..., the first of equal ones.  Labels emptied
+    between rounds are re-seeded from the point farthest from its zone
+    mean, mirroring the k-means rule.  Stops when a round leaves the
+    labeling unchanged, or with a warning after CRF_MAX_ROUNDS.  The
+    model's `stats` records the rounds, the sweeps, the final energy, the
+    stop reason, and the starts' inertias with the one kept.
     """
     X = _points(F)
     r = X.shape[0]
     if not 1 <= c <= r:
         raise ValueError(f"zone count {c} outside [1, {r}]")
-    labels, _ = kmeans(F, c, seed=seed)
     stats = CrfStats()
+    starts = []
+    for s in range(seed, seed + KMEANS_STARTS):
+        labels, centroids = kmeans(F, c, seed=s)
+        deviation = X - centroids[labels]
+        stats.start_inertias.append(float((deviation * deviation).sum()))
+        starts.append(labels)
+    stats.start = int(np.argmin(stats.start_inertias))
+    labels = starts[stats.start]
     for _ in range(CRF_MAX_ROUNDS):
         labels, model = _refit(X, labels, c, beta)
         new_labels = icm_map(labels, F, model, shape, stats=stats)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from zonefuse import latent_fusion
 from zonefuse.cli import main as cli_main
 from zonefuse.config import PipelineConfig
 from zonefuse.geo_grid import GeoPoint, cell_spans, decode, encode, haversine_m
@@ -196,6 +197,30 @@ def test_12_descent_survives_large_activity_counts():
                    f"{len(totals) - 1} iterations, objective {totals[0]:.1f} "
                    f"-> {totals[-1]:.1f}, worst increase {worst_rise:.2e} "
                    f"(tol 1e-9)")
+    assert ok, line
+
+
+def test_13_q_eliminated_objective_is_the_objective_at_the_best_q():
+    # fit traces the objective with Q at its minimiser l1 G^-1 Z Tn^T,
+    # G = l1 Z Z^T + l5 I, computed from k x k matrices and Z K alone
+    worst = 0.0
+    for seed in range(20):
+        P, observed, T = random_instance(seed)
+        h = Hyperparams(k=3, seed=seed, lambda1=0.7, lambda5=0.3)
+        f = random_factors(seed, P.shape[0], P.shape[1], T.shape[0], 3)
+        Tn, nonempty = latent_fusion._unit_columns(T)
+        _, _, transform, q_sq = latent_fusion._q_step(
+            f.Z, latent_fusion._k_times(Tn)[1](f.Z), nonempty, h)
+        eliminated, terms = latent_fusion._objective(P, observed, transform, q_sq, f, h)
+        G = h.lambda1 * f.Z @ f.Z.T + h.lambda5 * np.eye(3)
+        f.Q = h.lambda1 * np.linalg.solve(G, f.Z @ Tn.toarray().T)
+        total, oracle = objective(P, observed, T, f, h)
+        worst = max(worst, abs(eliminated - total) / abs(total),
+                    *(abs(terms[t] - oracle[t]) / abs(total) for t in terms))
+    ok = worst <= 1e-12
+    line = verdict("Q-eliminated objective", ok,
+                   f"20 instances, worst relative gap to objective() at the "
+                   f"best Q {worst:.1e} (tol 1e-12)")
     assert ok, line
 
 
@@ -405,15 +430,18 @@ def test_10_geohash_roundtrip_refinement_and_cell_size():
     at = GeoPoint(35.78, -78.68)
     ns = haversine_m(at, GeoPoint(at.lat + lat_span, at.lon))
     ew = haversine_m(at, GeoPoint(at.lat, at.lon + lon_span))
+    # a level-6 cell spans 360 / 2^15 degrees of longitude: 1222 m at the
+    # equator, shrunk by the cosine of the latitude
+    ew_ref = 2.0 * np.pi * 6_371_000.0 / 2 ** 15 * np.cos(np.radians(at.lat))
     ns_err = abs(ns - 609.4) / 609.4
-    ew_err = abs(ew - 1200.0) / 1200.0
+    ew_err = abs(ew - ew_ref) / ew_ref
     dims_ok = ns_err <= 0.01 and ew_err <= 0.01
     ok = roundtrip and refinement and dims_ok
     line = verdict(
         "geohash round-trip, refinement, cell size", ok,
         f"1000-point round-trip levels 1-12: {roundtrip}, prefix "
         f"refinement: {refinement}, level-6 cell at 35.78N measures "
-        f"{ew:.0f}m x {ns:.0f}m vs 1200m x 609.4m "
+        f"{ew:.0f}m x {ns:.0f}m vs {ew_ref:.0f}m x 609.4m "
         f"(rel err {ew_err:.1%} / {ns_err:.1%}, tol 1%)")
     assert ok, line
 

@@ -1,6 +1,6 @@
 """What a fresh interpreter imports.  No stage loads scipy, and no module
-of the package imports it: the fit factors the Q step's smaller side,
-M or Woodbury's C, in numpy.  `import zonefuse.cli` loads no numpy, so
+of the package imports it: the fit applies K = Tn^T Tn, dense or from
+its triples, in numpy.  `import zonefuse.cli` loads no numpy, so
 `--threads` can still pin the BLAS pools when the CLI reads it.  The
 benchmark tracer must still find every name it wraps.  Each check runs
 in a fresh interpreter, so the imports of the test process itself do not
@@ -58,16 +58,17 @@ def prime(root: Path, users: int) -> Path:
 
 @pytest.fixture(scope="module")
 def primed(tmp_path_factory):
-    """The city of the beta-edit cache test: more rows of T with two or
-    more entries than regions, so the fit factors M."""
+    """The city of the beta-edit cache test: its rows of T with two or
+    more entries hold more than r^2 / 100 entries, so the fit builds K
+    dense."""
     return prime(tmp_path_factory.mktemp("imports"), 60)
 
 
 @pytest.fixture(scope="module")
 def few_users(tmp_path_factory):
-    """Fewer rows of T with two or more entries than regions, so the fit
-    takes the Woodbury solve."""
-    return prime(tmp_path_factory.mktemp("few-users"), 10)
+    """Few enough users that those rows hold under r^2 / 100 entries, so
+    the fit applies K from Tn's triples."""
+    return prime(tmp_path_factory.mktemp("few-users"), 5)
 
 
 def verb(primed, *args: str) -> list[str]:
@@ -91,7 +92,7 @@ def test_cached_beta_edit_loads_no_scipy(primed):
     out = primed / "out"
     labels = (out / "labels.csv").read_bytes()
     before = json.loads((out / "manifest.json").read_text())["stages"]
-    assert verb(primed, "run", "--set", "beta=3.0") == []
+    assert verb(primed, "run", "--set", "beta=0.3") == []
     after = json.loads((out / "manifest.json").read_text())["stages"]
     # annotate reran, so it read poi.coo, and still needed no scipy
     assert (out / "labels.csv").read_bytes() != labels
@@ -119,15 +120,14 @@ def fit_notes(city: Path) -> dict:
     return json.loads((city / "out" / "manifest.json").read_text())["stages"]["fit"]["notes"]
 
 
-def test_forced_fit_of_a_dense_M_loads_no_scipy(primed):
+def test_forced_fit_of_a_dense_K_loads_no_scipy(primed):
     assert verb(primed, "fit", "--force") == []
-    assert (fit_notes(primed)["q_factor"], fit_notes(primed)["q_order"]) == ("cholesky", 64)
+    assert fit_notes(primed)["k_path"] == "dense"
 
 
-def test_forced_woodbury_fit_loads_no_scipy(few_users):
+def test_forced_triples_fit_loads_no_scipy(few_users):
     assert verb(few_users, "fit", "--force") == []
-    notes = fit_notes(few_users)
-    assert notes["q_factor"] == "woodbury" and notes["q_order"] < 64
+    assert fit_notes(few_users)["k_path"] == "triples"
 
 
 def imported(path: Path) -> list[str]:

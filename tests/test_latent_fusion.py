@@ -39,7 +39,8 @@ def standard_instance(seed, p=5, r=7, k=3, q=336, column_mask=False):
 
 def diagonal_activity(seed, r=40, q=48):
     """A T with one nonzero per row and per column, so T^T T is diagonal:
-    no row of T has two entries, and the Q step's m is 0."""
+    no row of T has two entries, and B, the rows with two or more, is
+    empty."""
     rng = np.random.default_rng(seed)
     T = np.zeros((q, r))
     T[rng.permutation(q)[:r], np.arange(r)] = rng.poisson(3.0, r) + 1.0
@@ -159,7 +160,7 @@ class TestObjective:
 
         recon = transform = z_recon = l1 = regression = ridge = 0.0
         UV = f.U @ f.V
-        QT = f.Q @ T
+        QtZ = f.Q.T @ f.Z
         UtA = f.U.T @ f.A
         WZ = f.W @ f.Z
         for i in range(p):
@@ -167,12 +168,17 @@ class TestObjective:
                 if observed[j]:
                     recon += 0.5 * (P[i, j] - UV[i, j]) ** 2
                 l1 += h.lambda3 * abs(f.A[i, j])
+        for j in range(r):
+            norm = np.sqrt(sum(T[i, j] ** 2 for i in range(q)))
+            for i in range(q):
+                transform += 0.5 * h.lambda1 * (T[i, j] / norm - QtZ[i, j]) ** 2
         for i in range(k):
             for j in range(r):
-                transform += 0.5 * h.lambda1 * (QT[i, j] - f.Z[i, j]) ** 2
                 z_recon += 0.5 * h.lambda2 * (f.Z[i, j] - UtA[i, j]) ** 2
-                regression += 0.5 * h.lambda4 * (f.V[i, j] - WZ[i, j]) ** 2
-        for M in (f.U, f.V, f.Q, f.W):
+                if observed[j]:
+                    regression += 0.5 * h.lambda4 * (f.V[i, j] - WZ[i, j]) ** 2
+                    ridge += 0.5 * h.lambda5 * f.V[i, j] ** 2
+        for M in (f.U, f.Q, f.W):
             ridge += 0.5 * h.lambda5 * (M ** 2).sum()
         assert terms["recon"] == pytest.approx(recon, rel=1e-12)
         assert terms["transform"] == pytest.approx(transform, rel=1e-12)
@@ -292,7 +298,7 @@ class TestFit:
         for m in range(1, 12):
             h = Hyperparams(k=2, lambda2=0.0, lambda4=0.0, max_iter=m,
                             epsilon=0.0, seed=3)
-            f, _ = fit(P, observed, T, h, init=init_factors(p, r, q, h))
+            f, _ = fit(P, observed, T, h, init=init_factors(p, r, h))
             # fit returns Q as None
             norms = {n: float(np.linalg.norm(getattr(f, n))) for n in FACTOR_NAMES if n != "Q"}
             if prev is not None:
@@ -301,7 +307,7 @@ class TestFit:
             prev = norms
         h = Hyperparams(k=2, lambda2=0.0, lambda4=0.0, max_iter=2000,
                         epsilon=0.0, seed=3)
-        _, trace = fit(P, observed, T, h, init=init_factors(4, 6, 20, h))
+        _, trace = fit(P, observed, T, h, init=init_factors(4, 6, h))
         assert trace.totals[-1] < 1e-2 * trace.totals[0]
 
     def test_proximal_step_is_exact_soft_threshold_when_decoupled(self):
@@ -347,8 +353,8 @@ class TestFit:
     ])
     def test_each_block_update_is_its_exact_minimiser(self, column_mask, activity):
         # after a block's update, the gradient oracle vanishes on that block;
-        # T with m >= r rows of two or more entries takes a Cholesky factor
-        # of M, one with fewer the Woodbury solve
+        # the Q step's Q Tn and Q Q^T are those of the explicit minimiser
+        # Q = l1 G^-1 Z Tn^T, through a dense K or through Tn's triples
         if activity == "dense":
             p, r, k, q = 5, 7, 3, 30
             T = np.random.default_rng(37).poisson(0.2, size=(q, r)).astype(float)
@@ -361,16 +367,18 @@ class TestFit:
                         lambda4=0.7, lambda5=0.02)
         f.U = latent_fusion._update_U(P, observed, f, h)
         f.V = latent_fusion._update_V(P, observed, f, h)
-        name, _, solve_q = latent_fusion._q_solver(T, h)
-        assert name == {"dense": "cholesky", "diagonal": "woodbury",
-                        "multi": "woodbury"}[activity]
-        Y, QT = solve_q(f.Z)
-        f.Q = h.lambda1 * Y @ T.T
-        assert np.allclose(QT, f.Q @ T, atol=1e-10)
+        Tn, nonempty = latent_fusion._unit_columns(T)
+        path, times_K = latent_fusion._k_times(Tn)
+        assert path == {"dense": "dense", "diagonal": "triples", "multi": "dense"}[activity]
+        QTn, QQt, _, _ = latent_fusion._q_step(f.Z, times_K(f.Z), nonempty, h)
+        G = h.lambda1 * f.Z @ f.Z.T + h.lambda5 * np.eye(k)
+        f.Q = h.lambda1 * np.linalg.solve(G, f.Z @ Tn.toarray().T)
+        assert np.allclose(QTn, f.Q @ Tn.toarray(), atol=1e-10)
+        assert np.allclose(QQt, f.Q @ f.Q.T, atol=1e-10)
         g_q = gradients(P, observed, T, f, h)["Q"]
-        f.Z = latent_fusion._update_Z(QT, f, h)
+        f.Z = latent_fusion._update_Z(QTn, QQt, observed, f, h)
         g_z = gradients(P, observed, T, f, h)["Z"]
-        f.W = latent_fusion._update_W(f, h)
+        f.W = latent_fusion._update_W(observed, f, h)
         g = gradients(P, observed, T, f, h)
         for name, grad in (("Q", g_q), ("Z", g_z), ("W", g["W"])):
             assert np.abs(grad).max() < 1e-10, name
@@ -388,10 +396,12 @@ class TestFit:
         f, trace = fit(P, observed, T, h, init=init)
         for name in ("Z", "A", "W"):
             assert np.array_equal(getattr(f, name), getattr(init, name)), name
-        # Q has no term either: fit returns it as None, and its solve gives 0
+        # Q has no term either: fit returns it as None, and its step gives 0
         assert f.Q is None
-        Y, QT = latent_fusion._q_solver(T, h)[2](f.Z)
-        assert not Y.any() and not QT.any()
+        Tn, nonempty = latent_fusion._unit_columns(T)
+        QTn, QQt, transform, q_sq = latent_fusion._q_step(
+            f.Z, latent_fusion._k_times(Tn)[1](f.Z), nonempty, h)
+        assert not QTn.any() and not QQt.any() and transform == q_sq == 0.0
         assert np.all(np.diff(trace.totals) <= 1e-12)
         # the L1 term alone is minimised by A = 0
         f, _ = fit(P, observed, T, Hyperparams(k=k, lambda2=0.0, lambda3=0.1,
@@ -400,7 +410,8 @@ class TestFit:
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_zero_ridge_takes_least_norm_q(self, sparse):
-        # lambda5 = 0 with an activity-free region: T^T T is singular
+        # lambda5 = 0: G = l1 Z Z^T, and an activity-free region gives K
+        # a zero column
         P, observed, T = standard_instance(41)
         T[:, 2] = 0.0
         T = sp.csr_array(T) if sparse else T
@@ -408,35 +419,54 @@ class TestFit:
         f, trace = fit(P, observed, T, h)
         assert f.Q is None
         assert np.all(np.diff(trace.totals) <= 1e-9)
-        # Q = l1 Y T^T zeroes the Q gradient; least norm puts no weight on
-        # the activity-free region, the null space of T^T T
-        assert trace.q_factor == "pinv"
-        Y, QT = latent_fusion._q_solver(T, h)[2](f.Z)
-        assert np.all(np.isfinite(Y)) and np.all(np.isfinite(QT))
-        assert np.allclose(QT, h.lambda1 * Y @ T.T @ T)
-        assert np.allclose((QT - f.Z) @ T.T, 0.0, atol=1e-9)
-        assert np.allclose(Y[:, 2], 0.0, atol=1e-12)
+        # the least-norm minimiser of ||Tn - Q^T Z||, Q^T = Tn Z^+
+        Tn, nonempty = latent_fusion._unit_columns(T)
+        QTn, QQt, _, _ = latent_fusion._q_step(f.Z, latent_fusion._k_times(Tn)[1](f.Z),
+                                               nonempty, h)
+        Q = (Tn.toarray() @ np.linalg.pinv(f.Z)).T
+        assert np.all(np.isfinite(QTn)) and np.all(np.isfinite(QQt))
+        assert np.allclose(QTn, Q @ Tn.toarray(), atol=1e-8)
+        assert np.allclose(QQt, Q @ Q.T, atol=1e-8)
+        assert not QTn[:, 2].any()
 
-    @pytest.mark.parametrize("T, branch", [
-        pytest.param(diagonal_activity(46), ("woodbury", 0), id="no-multi-entry-row"),
-        pytest.param(few_multi_entry_rows(46), ("woodbury", 8), id="few-multi-entry-rows"),
-        pytest.param(rows_of_two(39, 40), ("woodbury", 39), id="m-one-below-r"),
-        pytest.param(rows_of_two(40, 40), ("cholesky", 40), id="m-equal-to-r"),
-        pytest.param(standard_instance(45)[2], ("cholesky", 7), id="m-above-r"),
+    @pytest.mark.parametrize("T, path", [
+        pytest.param(diagonal_activity(46), "triples", id="no-multi-entry-row"),
+        pytest.param(rows_of_two(8, 40), "triples", id="r-squared-at-100-nnz"),
+        pytest.param(rows_of_two(9, 40), "dense", id="r-squared-below-100-nnz"),
+        pytest.param(standard_instance(45)[2], "dense", id="many-multi-entry-rows"),
     ])
-    def test_the_smaller_side_is_factored(self, monkeypatch, T, branch):
-        # m, the rows of T with two or more entries, against r regions:
-        # Woodbury's m x m C when m < r, else M itself; the order of the one
-        # matrix the Cholesky kernel receives shows the branch taken
-        orders = []
-        cholesky = latent_fusion._cholesky
-        monkeypatch.setattr(latent_fusion, "_cholesky",
-                            lambda M: orders.append(len(M)) or cholesky(M))
+    def test_k_path_follows_the_size_rule(self, T, path):
+        # dense K when r^2 < 100 nnz(B), B the rows with two or more
+        # entries: rows_of_two(m, 40) has nnz(B) = 2 m against r^2 = 1600
         P, observed, _ = standard_instance(47, r=T.shape[1])
         _, trace = fit(P, observed, T, Hyperparams(k=3, max_iter=2))
-        assert (trace.q_factor, trace.q_order) == branch
-        assert orders == [branch[1]]
-        assert trace.q_factor_s >= 0.0
+        assert trace.k_path == path
+
+    @pytest.mark.parametrize("T", [
+        pytest.param(few_multi_entry_rows(53), id="few-multi-entry-rows"),
+        pytest.param(np.random.default_rng(54).poisson(0.3, size=(200, 300)).astype(float),
+                     id="several-bands"),
+    ])
+    def test_dense_and_triples_k_agree(self, T):
+        # the dense K mirrors its lower triangle a band of rows at a time;
+        # 300 regions take several bands
+        Tn, _ = latent_fusion._unit_columns(T)
+        Z = np.random.default_rng(55).normal(size=(4, T.shape[1]))
+        expected = Z @ Tn.toarray().T @ Tn.toarray()
+        for times in (latent_fusion._dense_k(Tn), latent_fusion._triples_k(Tn)):
+            assert np.abs(times(Z) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_unit_columns(self):
+        T = np.array([[3.0, 0.0, 0.0], [4.0, 0.0, 2.0]])
+        Tn, nonempty = latent_fusion._unit_columns(T)
+        assert np.array_equal(Tn.toarray(), [[0.6, 0.0, 0.0], [0.8, 0.0, 1.0]])
+        assert nonempty == 2
+
+    def test_unobserved_columns_of_V_are_W_Z(self):
+        P, observed, T = standard_instance(56, column_mask=True)
+        assert not observed.all()
+        f, _ = fit(P, observed, T, Hyperparams(k=3, max_iter=20, seed=3))
+        assert np.array_equal(f.V[:, ~observed], (f.W @ f.Z)[:, ~observed])
 
     def test_max_iter_stop_logs_warning(self, caplog):
         P, observed, T = standard_instance(42)
@@ -501,14 +531,14 @@ def full_width_update_U(P, observed, f, h):
 
 
 def full_width_update_V(P, observed, f, h):
-    """_update_V as one k x k solve per region over the tiled mask,
-    unobserved regions included."""
+    """_update_V as one k x k solve per region over the tiled mask; an
+    unobserved region has every term off."""
     I = np.tile(observed.astype(float), (P.shape[0], 1))
     WZ = h.lambda4 * (f.W @ f.Z)
     V = np.empty_like(f.V)
     for j in range(P.shape[1]):
-        H = (f.U.T * I[:, j]) @ f.U + (h.lambda4 + h.lambda5) * np.eye(h.k)
-        b = f.U.T @ (I[:, j] * P[:, j]) + WZ[:, j]
+        H = observed[j] * ((f.U.T * I[:, j]) @ f.U + (h.lambda4 + h.lambda5) * np.eye(h.k))
+        b = f.U.T @ (I[:, j] * P[:, j]) + observed[j] * WZ[:, j]
         V[:, j] = latent_fusion._argmin(H, b, f.V[:, j])
     return V
 
@@ -518,28 +548,7 @@ def full_width_recon(P, observed, f):
     return 0.5 * float((R * R).sum())
 
 
-BLOCK = latent_fusion._BLOCK
-
-
-class TestDenseCholesky:
-    @pytest.mark.parametrize("r", [1, BLOCK // 2 + 3, BLOCK + 57, 2 * BLOCK + 1],
-                             ids=["one", "below-a-block", "not-a-multiple",
-                                  "two-blocks-and-one"])
-    def test_factor_and_solve_are_exact(self, r):
-        rng = np.random.default_rng(r)
-        X = rng.normal(size=(r, r // 2 + 1))
-        M = X @ X.T / r + 0.5 * np.eye(r)
-        Z = rng.normal(size=(4, r))
-        L = M.copy()
-        # the kernel reads only the lower triangle
-        L[np.triu_indices(r, 1)] = np.nan
-        inverses = latent_fusion._cholesky(L)
-        assert len(inverses) == -(-r // BLOCK)
-        expected = np.linalg.cholesky(M)
-        assert np.abs(np.tril(L) - expected).max() <= 1e-12 * np.abs(expected).max()
-        Y = latent_fusion._cho_solve(L, inverses, Z)
-        assert np.abs(Y @ M - Z).max() <= 1e-12 * np.abs(Z).max()
-
+class TestGram:
     @pytest.mark.parametrize("batch", [1, 7, latent_fusion._PAIRS_PER_BATCH])
     def test_gram_is_the_lower_triangle_of_TtT(self, monkeypatch, batch):
         # batches smaller than one entry's pairs, of a few rows, of all rows
@@ -547,25 +556,6 @@ class TestDenseCholesky:
         T = np.random.default_rng(3).poisson(0.4, size=(60, 9)).astype(float)
         G = latent_fusion._gram_lower(CooMatrix.of(T))
         assert np.array_equal(G, np.tril(T.T @ T))
-
-
-class TestWoodbury:
-    @pytest.mark.parametrize("case", ["multi-entry-rows", "no-multi-entry-row",
-                                      "no-activity-weight"])
-    def test_solve_is_exact(self, case):
-        # Y M = Z against the dense M at 0 < m < r, at m = 0 (C is 0 x 0)
-        # and at l1 = 0 (M = l5 I)
-        T = (diagonal_activity if case == "no-multi-entry-row" else few_multi_entry_rows)(51)
-        h = Hyperparams(k=4, lambda1=0.0 if case == "no-activity-weight" else 0.8,
-                        lambda5=0.02)
-        name, m, solve = latent_fusion._q_solver(T, h)
-        assert (name, m) == ("woodbury", 0 if case == "no-multi-entry-row" else 8)
-        r = T.shape[1]
-        M = h.lambda1 * T.T @ T + h.lambda5 * np.eye(r)
-        Z = np.random.default_rng(52).normal(size=(4, r))
-        Y, QT = solve(Z)
-        assert np.abs(Y @ M - Z).max() <= 1e-12 * np.abs(Z).max()
-        assert np.abs(QT - h.lambda1 * Y @ T.T @ T).max() <= 1e-12 * np.abs(Z).max()
 
 
 class TestObservedColumnSweep:
@@ -595,9 +585,8 @@ class TestObservedColumnSweep:
         V = latent_fusion._update_V(P, observed, f, h)
         assert np.allclose(V, full_width_update_V(P, observed, f, h),
                            rtol=1e-10, atol=1e-12)
-        if lambda4 + lambda5 == 0:
-            assert np.array_equal(V[:, ~observed], f.V[:, ~observed])
-        _, terms = latent_fusion._objective(P, observed, f.Q @ T, 0.0, f, h)
+        assert np.array_equal(V[:, ~observed], f.V[:, ~observed])
+        _, terms = latent_fusion._objective(P, observed, 0.0, 0.0, f, h)
         assert terms["recon"] == pytest.approx(full_width_recon(P, observed, f), rel=1e-12)
 
     def test_U_components_without_terms_keep_their_value(self):

@@ -167,6 +167,14 @@ class TestKmeans:
         labels, _ = kmeans(features(X), 2, seed=7)
         assert np.array_equal(labels, np.zeros(6, dtype=np.int64))
 
+    def test_assignment_is_the_nearest_centroid_ties_to_the_lowest(self):
+        rng = np.random.default_rng(8)
+        X, centroids = rng.normal(size=(50, 3)), rng.normal(size=(4, 3))
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(zone_cluster._assign(X, centroids), d2.argmin(axis=1))
+        tied = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(zone_cluster._assign(np.zeros((2, 2)), tied), [0, 0])
+
     def test_deterministic(self):
         F = features(np.random.default_rng(5).normal(size=(30, 3)))
         l1, c1 = kmeans(F, 3, seed=11)
@@ -191,10 +199,15 @@ class TestFitGaussians:
         labels = np.array([0, 0, 1])
         means, variances = fit_gaussians(features(X), labels, 2)
         assert np.allclose(means[0], [1.0, 2.0])
-        assert np.allclose(variances[0], [1.0, 4.0])
         assert np.allclose(means[1], [10.0, 10.0])
-        # single member has zero variance, so the floor applies
-        assert np.allclose(variances[1], [1e-6, 1e-6])
+        # one variance pooled over both zones: squared deviations (1, 4),
+        # (1, 4) and (0, 0) over 3 points
+        assert np.allclose(variances, [[2 / 3, 8 / 3], [2 / 3, 8 / 3]])
+
+    def test_pooled_variance_is_floored(self):
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [5.0, 1.0]])
+        _, variances = fit_gaussians(features(X), np.array([0, 0, 1]), 2)
+        assert np.array_equal(variances, np.full((2, 2), 1e-6))
 
     def test_empty_label_rejected(self):
         X = np.zeros((3, 2))
@@ -401,6 +414,25 @@ class TestCrfFit:
         F = features(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             crf_fit(F, (1, 2), c=3, beta=1.0, seed=0)
+
+    def test_starts_from_the_lowest_inertia_kmeans_run(self, monkeypatch):
+        F, _, shape = planted_grid(6, 6, sep=1.0, noise=1.0, seed=7)
+        X = F.T
+        inertias, starts = [], []
+        for s in range(4, 4 + zone_cluster.KMEANS_STARTS):
+            labels, centroids = kmeans(F, 3, seed=s)
+            inertias.append(float(((X - centroids[labels]) ** 2).sum()))
+            starts.append(labels)
+        # the labels the first ICM call starts from are the kept start's
+        icm_starts = []
+        icm = zone_cluster.icm_map
+        monkeypatch.setattr(zone_cluster, "icm_map",
+                            lambda labels, *a, **kw: icm_starts.append(labels) or
+                            icm(labels, *a, **kw))
+        stats = crf_fit(F, shape, c=3, beta=1.0, seed=4).stats
+        assert stats.start_inertias == pytest.approx(inertias, rel=1e-12)
+        assert stats.start == int(np.argmin(inertias))
+        assert np.array_equal(icm_starts[0], starts[stats.start])
 
     def test_reaches_exhaustive_minimum_on_separated_instances(self):
         hits = 0
