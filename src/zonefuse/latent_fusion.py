@@ -169,11 +169,11 @@ def soft_threshold(x: np.ndarray | float, threshold: float):
     return x - np.clip(x, -threshold, threshold)
 
 
-def _checked(P, observed, T, f: LatentFactors,
-             h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+def _checked(P, observed, T, f: LatentFactors, h: Hyperparams,
+             q_read: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """P as a float array and observed, one flag per region, as a bool
-    array, once every shape agrees with P; a block that is None is not
-    checked."""
+    array, once every shape agrees with P; Q may be None when it is not
+    read, and any other block that is None raises ValueError."""
     P = np.asarray(P, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
     p, r = P.shape
@@ -182,8 +182,9 @@ def _checked(P, observed, T, f: LatentFactors,
                 "Q": (k, q), "Z": (k, r), "A": (p, r), "W": (k, k)}
     given = {"observed": observed, "T": T, **vars(f)}
     for name, shape in expected.items():
-        if given[name] is not None and given[name].shape != shape:
-            raise ValueError(f"{name} has shape {given[name].shape}, expected {shape}")
+        got = None if given[name] is None else given[name].shape
+        if got != shape and not (name == "Q" and got is None and not q_read):
+            raise ValueError(f"{name} has shape {got}, expected {shape}")
     return P, observed
 
 
@@ -371,12 +372,14 @@ def _triples_k(Tn: CooMatrix):
 
 
 def _k_times(Tn: CooMatrix):
-    """(path, map Z -> Z K), K = Tn^T Tn: `dense` when r^2 < 100 nnz(B),
-    B the rows of Tn with two or more entries, else `triples`.  Applying
-    the dense K costs k r^2, the triples about k nnz(B) gathers."""
+    """(path, map Z -> Z K), K = Tn^T Tn: `dense` when r^2 < 16 nnz(B),
+    B the rows of Tn with two or more entries, else `triples`.  The two
+    take the same time near r^2 = 75 nnz(B) (see the README); 16 keeps
+    the dense K well on its faster side and its 8 r^2 bytes under 128 per
+    entry of B."""
     r = Tn.shape[1]
     per_row = _row_lengths(Tn)
-    if r * r < 100 * int(per_row[per_row > 1].sum()):
+    if r * r < 16 * int(per_row[per_row > 1].sum()):
         return "dense", _dense_k(Tn)
     return "triples", _triples_k(Tn)
 
@@ -402,7 +405,8 @@ def _update_Z(QTn, QQt, observed, f: LatentFactors, h: Hyperparams) -> np.ndarra
     # two k x k systems: the observed columns' adds the regression term
     H = h.lambda1 * QQt + h.lambda2 * np.eye(h.k)
     B = h.lambda1 * QTn + h.lambda2 * (f.U.T @ f.A)
-    Z = _argmin(H, B, f.Z)
+    Z = np.empty_like(f.Z)
+    Z[:, ~observed] = _argmin(H, B[:, ~observed], f.Z[:, ~observed])
     Z[:, observed] = _argmin(H + h.lambda4 * (f.W.T @ f.W),
                              B[:, observed] + h.lambda4 * (f.W.T @ f.V[:, observed]),
                              f.Z[:, observed])
@@ -446,7 +450,7 @@ def fit(P, observed, T, h: Hyperparams,
     T = CooMatrix.of(T)
     # every update assigns a new array, so a shallow copy protects init
     f = replace(init, Q=None) if init is not None else init_factors(*P.shape, h)
-    P, observed = _checked(P, observed, T, f, h)
+    P, observed = _checked(P, observed, T, f, h, q_read=False)
     Tn, nonempty = _unit_columns(T)
     trace = FitTrace()
     trace.k_path, times_K = _k_times(Tn)

@@ -306,10 +306,10 @@ def crf_fit(F, shape, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
     The start is the lowest-inertia labeling of KMEANS_STARTS k-means runs,
     seeds seed, seed + 1, ..., the first of equal ones.  Labels emptied
     between rounds are re-seeded from the point farthest from its zone
-    mean, mirroring the k-means rule.  Stops when a round leaves the
-    labeling unchanged, or with a warning after CRF_MAX_ROUNDS.  The
-    model's `stats` records the rounds, the sweeps, the final energy, the
-    stop reason, and the starts' inertias with the one kept.
+    mean, mirroring the k-means rule.  Stops when ICM returns the labeling
+    its round started from, before re-seeding, or with a warning after
+    CRF_MAX_ROUNDS.  The model's `stats` records the rounds, the sweeps,
+    the energy, the stop reason, and the starts' inertias and the one kept.
     """
     X = _points(F)
     r = X.shape[0]
@@ -325,8 +325,8 @@ def crf_fit(F, shape, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
     stats.start = int(np.argmin(stats.start_inertias))
     labels = starts[stats.start]
     for _ in range(CRF_MAX_ROUNDS):
-        labels, model = _refit(X, labels, c, beta)
-        new_labels = icm_map(labels, F, model, shape, stats=stats)
+        seeded, model = _refit(X, labels, c, beta)
+        new_labels = icm_map(seeded, F, model, shape, stats=stats)
         stats.em_rounds += 1
         if np.array_equal(new_labels, labels):
             break

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(P, observed, T[:, :5], f, h)
 
+    @pytest.mark.parametrize("name", ["U", "V", "Z", "A", "W"])
+    def test_missing_block_rejected(self, name):
+        # only fit may take Q as None, since it never reads Q
+        h = Hyperparams(k=3, max_iter=2)
+        P, observed, T = standard_instance(0)
+        init = replace(random_factors(0, 5, 7, 3, 336), **{name: None})
+        with pytest.raises(ValueError, match=f"{name} has shape None"):
+            fit(P, observed, T, h, init=init)
+        fit(P, observed, T, h, init=replace(random_factors(0, 5, 7, 3, 336), Q=None))
+
+    @pytest.mark.parametrize("oracle", [objective, gradients])
+    def test_oracles_need_q(self, oracle):
+        P, observed, T = standard_instance(0)
+        f = replace(random_factors(0, 5, 7, 3, 336), Q=None)
+        with pytest.raises(ValueError, match=r"Q has shape None, expected \(3, 336\)"):
+            oracle(P, observed, T, f, Hyperparams(k=3))
+
     def test_entry_mask_rejected(self):
         # one flag per region: a categories x regions mask is refused,
         # not broadcast
@@ -369,7 +387,7 @@ class TestFit:
         f.V = latent_fusion._update_V(P, observed, f, h)
         Tn, nonempty = latent_fusion._unit_columns(T)
         path, times_K = latent_fusion._k_times(Tn)
-        assert path == {"dense": "dense", "diagonal": "triples", "multi": "dense"}[activity]
+        assert path == {"dense": "dense", "diagonal": "triples", "multi": "triples"}[activity]
         QTn, QQt, _, _ = latent_fusion._q_step(f.Z, times_K(f.Z), nonempty, h)
         G = h.lambda1 * f.Z @ f.Z.T + h.lambda5 * np.eye(k)
         f.Q = h.lambda1 * np.linalg.solve(G, f.Z @ Tn.toarray().T)
@@ -431,12 +449,12 @@ class TestFit:
 
     @pytest.mark.parametrize("T, path", [
         pytest.param(diagonal_activity(46), "triples", id="no-multi-entry-row"),
-        pytest.param(rows_of_two(8, 40), "triples", id="r-squared-at-100-nnz"),
-        pytest.param(rows_of_two(9, 40), "dense", id="r-squared-below-100-nnz"),
+        pytest.param(rows_of_two(50, 40), "triples", id="r-squared-at-16-nnz"),
+        pytest.param(rows_of_two(51, 40), "dense", id="r-squared-below-16-nnz"),
         pytest.param(standard_instance(45)[2], "dense", id="many-multi-entry-rows"),
     ])
     def test_k_path_follows_the_size_rule(self, T, path):
-        # dense K when r^2 < 100 nnz(B), B the rows with two or more
+        # dense K when r^2 < 16 nnz(B), B the rows with two or more
         # entries: rows_of_two(m, 40) has nnz(B) = 2 m against r^2 = 1600
         P, observed, _ = standard_instance(47, r=T.shape[1])
         _, trace = fit(P, observed, T, Hyperparams(k=3, max_iter=2))

@@ -434,6 +434,19 @@ class TestCrfFit:
         assert stats.start == int(np.argmin(inertias))
         assert np.array_equal(icm_starts[0], starts[stats.start])
 
+    def test_converges_when_icm_empties_a_zone_every_round(self, monkeypatch):
+        # beta 5 on a 4x4 grid of one blob: ICM puts every region in one
+        # zone, and the region re-seeded into the other is pulled back
+        X = np.random.default_rng(0).normal(0.0, 1.0, (16, 2))
+        outputs = []
+        icm = zone_cluster.icm_map
+        monkeypatch.setattr(zone_cluster, "icm_map",
+                            lambda *a, **kw: outputs.append(icm(*a, **kw)) or outputs[-1])
+        stats = crf_fit(features(X), (4, 4), c=2, beta=5.0, seed=0).stats
+        assert all(np.bincount(labels, minlength=2).min() == 0 for labels in outputs)
+        assert stats.stop_reason == "converged"
+        assert stats.em_rounds == 2
+
     def test_reaches_exhaustive_minimum_on_separated_instances(self):
         hits = 0
         for seed in range(10):
