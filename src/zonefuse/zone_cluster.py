@@ -9,7 +9,7 @@ slices of the label grid.  Inference is iterated conditional modes from a
 k-means start, one numpy step per coding set of the lattice (Besag 1986),
 alternating with Gaussian refits (hard EM) until the labeling is stable.
 The zones share one pooled diagonal variance, and the start is the
-k-means run of lowest inertia among KMEANS_STARTS seeds.
+k-means run of lowest inertia among KMEANS_STARTS seeds on window means.
 An exhaustive minimizer over all labelings is included for small grids so
 the local search can be audited.
 """
@@ -33,6 +33,9 @@ ICM_MAX_SWEEPS = 100
 CRF_MAX_ROUNDS = 50
 # k-means runs, seeds seed..seed + KMEANS_STARTS - 1, crf_fit starts from
 KMEANS_STARTS = 5
+# the k-means starts average each region over the lattice window of radius
+# min(n_rows, n_cols) // START_WINDOW_DIVISOR around it: 0 below 16 rows
+START_WINDOW_DIVISOR = 16
 
 EXHAUSTIVE_LIMIT = 2_000_000
 
@@ -71,8 +74,8 @@ class CrfStats:
     """What one crf_fit did: its EM rounds, the ICM sweeps of all rounds,
     the energy of the labels it returns, why it stopped (converged,
     max_rounds when EM reached CRF_MAX_ROUNDS, or max_sweeps when an ICM
-    call reached ICM_MAX_SWEEPS), the inertia of each k-means start and
-    the index of the start kept."""
+    call reached ICM_MAX_SWEEPS), each k-means start's inertia on the
+    window means and the index of the start kept."""
 
     em_rounds: int = 0
     icm_sweeps: int = 0
@@ -118,6 +121,24 @@ class ZoneModel:
 def _points(F) -> np.ndarray:
     """Region vectors as rows, from d x r features."""
     return np.ascontiguousarray(np.asarray(F, dtype=np.float64).T)
+
+
+def window_means(X: np.ndarray, shape, radius: int) -> np.ndarray:
+    """Each row of X, a region in row-major lattice order, averaged over
+    the regions within `radius` rows and columns of it, the window clipped
+    at the lattice border, from one summed-area table."""
+    if radius == 0:
+        return X
+    n_rows, n_cols = shape
+    table = np.zeros((n_rows + 1, n_cols + 1, X.shape[1]))
+    table[1:, 1:] = X.reshape(n_rows, n_cols, -1).cumsum(axis=0).cumsum(axis=1)
+    rows, cols = np.arange(n_rows), np.arange(n_cols)
+    r_lo, r_hi = np.maximum(rows - radius, 0), np.minimum(rows + radius + 1, n_rows)
+    c_lo, c_hi = np.maximum(cols - radius, 0), np.minimum(cols + radius + 1, n_cols)
+    sums = (table[r_hi][:, c_hi] - table[r_lo][:, c_hi]
+            - table[r_hi][:, c_lo] + table[r_lo][:, c_lo])
+    sums /= np.outer(r_hi - r_lo, c_hi - c_lo)[..., None]
+    return sums.reshape(X.shape)
 
 
 def kmeans(F, c: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -304,22 +325,27 @@ def crf_fit(F, shape, c: int, beta: float = 1.0, seed: int = 0) -> ZoneModel:
     Gaussian refit, ICM, repeat.
 
     The start is the lowest-inertia labeling of KMEANS_STARTS k-means runs,
-    seeds seed, seed + 1, ..., the first of equal ones.  Labels emptied
-    between rounds are re-seeded from the point farthest from its zone
-    mean, mirroring the k-means rule.  Stops when ICM returns the labeling
-    its round started from, before re-seeding, or with a warning after
-    CRF_MAX_ROUNDS.  The model's `stats` records the rounds, the sweeps,
-    the energy, the stop reason, and the starts' inertias and the one kept.
+    seeds seed, seed + 1, ..., the first of equal ones, on the features
+    averaged over lattice windows of radius min(shape) //
+    START_WINDOW_DIVISOR, which noisy single regions do not pull out of a
+    zone's basin.  Labels emptied between rounds are re-seeded from the
+    point farthest from its zone mean, mirroring the k-means rule.  Stops
+    when ICM returns the labeling its round started from, before
+    re-seeding, or with a warning after CRF_MAX_ROUNDS.  The model's
+    `stats` records the rounds, the sweeps, the energy, the stop reason,
+    and the starts' inertias and the one kept.
     """
     X = _points(F)
     r = X.shape[0]
     if not 1 <= c <= r:
         raise ValueError(f"zone count {c} outside [1, {r}]")
+    lattice = _lattice(shape, r)
+    smooth = window_means(X, lattice, min(lattice) // START_WINDOW_DIVISOR)
     stats = CrfStats()
     starts = []
     for s in range(seed, seed + KMEANS_STARTS):
-        labels, centroids = kmeans(F, c, seed=s)
-        deviation = X - centroids[labels]
+        labels, centroids = kmeans(smooth.T, c, seed=s)
+        deviation = smooth - centroids[labels]
         stats.start_inertias.append(float((deviation * deviation).sum()))
         starts.append(labels)
     stats.start = int(np.argmin(stats.start_inertias))

@@ -20,6 +20,7 @@ from zonefuse.zone_cluster import (
     load_labels,
     neighbor_pairs,
     save_labels,
+    window_means,
 )
 
 
@@ -433,6 +434,34 @@ class TestCrfFit:
         assert stats.start_inertias == pytest.approx(inertias, rel=1e-12)
         assert stats.start == int(np.argmin(inertias))
         assert np.array_equal(icm_starts[0], starts[stats.start])
+
+    def test_window_means_match_a_direct_average(self):
+        X = np.random.default_rng(2).normal(size=(5 * 7, 3))
+        G = X.reshape(5, 7, 3)
+        for radius in (0, 1, 2, 9):
+            expect = np.array([
+                G[max(i - radius, 0):i + radius + 1,
+                  max(j - radius, 0):j + radius + 1].mean(axis=(0, 1))
+                for i in range(5) for j in range(7)])
+            assert np.allclose(window_means(X, (5, 7), radius), expect, rtol=1e-12)
+
+    def test_window_means_start_recovers_weakly_separated_quadrants(self, monkeypatch):
+        # four 16x16 quadrants whose means lie 0.75 noise sd apart per
+        # axis: single regions overlap, their 5x5 window means do not
+        def ari_per_seed():
+            aris = []
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                rows, cols = np.divmod(np.arange(32 * 32), 32)
+                truth = 2 * (rows >= 16) + (cols >= 16)
+                X = 0.75 * np.eye(4)[truth] + rng.normal(0.0, 1.0, (32 * 32, 4))
+                model = crf_fit(features(X), (32, 32), c=4, beta=1.0, seed=seed)
+                aris.append(adjusted_rand_index(model.labels, truth))
+            return aris
+        assert min(ari_per_seed()) >= 0.85
+        # starting from the regions' own features instead
+        monkeypatch.setattr(zone_cluster, "START_WINDOW_DIVISOR", 10 ** 6)
+        assert min(ari_per_seed()) < 0.75
 
     def test_converges_when_icm_empties_a_zone_every_round(self, monkeypatch):
         # beta 5 on a 4x4 grid of one blob: ICM puts every region in one
