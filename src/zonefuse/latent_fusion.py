@@ -17,7 +17,10 @@ factor blocks are fit by block coordinate descent on
 The activity term fits T from Z, as collective matrix factorization
 (Singh & Gordon 2008) and DRoF (Yuan, Zheng & Xie 2012) do, so a region
 without venues gets its latent vector from its activity alone.  An
-unobserved column of V has no term; `fit` returns it as W Z_u.
+unobserved column of V has no term, so `fit` splits the regions once:
+the U, V and W steps and the objective read the observed columns of P,
+V and Z, only the Z step sees the mask, and V's unobserved columns are
+set to W Z_u once, after the last sweep.
 
 Each sweep sets the blocks U, V, Q, Z, A, W in turn to the minimiser of
 their own subproblem by a linear solve; A takes one proximal-gradient
@@ -199,20 +202,20 @@ def _unit_columns(T) -> tuple[CooMatrix, int]:
             int(np.count_nonzero(norms)))
 
 
-def _objective(P, observed, transform: float, q_sq: float, f: LatentFactors,
+def _objective(Po, Vo, Zo, transform: float, q_sq: float, f: LatentFactors,
                h: Hyperparams) -> tuple[float, dict[str, float]]:
-    """The objective with the activity term and ||Q||^2 given."""
-    V = f.V[:, observed]
-    R = P[:, observed] - f.U @ V
+    """The objective with the activity term and ||Q||^2 given, at the
+    observed columns Po, Vo and Zo of P, V and Z."""
+    R = Po - f.U @ Vo
     S = f.Z - f.U.T @ f.A
-    D = V - f.W @ f.Z[:, observed]
+    D = Vo - f.W @ Zo
     terms = {
         "recon": 0.5 * float((R * R).sum()),
         "transform": transform,
         "z_recon": 0.5 * h.lambda2 * float((S * S).sum()),
         "l1": h.lambda3 * float(np.abs(f.A).sum()),
         "regression": 0.5 * h.lambda4 * float((D * D).sum()),
-        "ridge": 0.5 * h.lambda5 * float((f.U * f.U).sum() + (V * V).sum()
+        "ridge": 0.5 * h.lambda5 * float((f.U * f.U).sum() + (Vo * Vo).sum()
                                          + q_sq + (f.W * f.W).sum()),
     }
     return sum(terms.values()), terms
@@ -224,8 +227,8 @@ def objective(P, observed, T, f: LatentFactors,
     dense, a CooMatrix, or anything with `tocoo()`."""
     P, observed = _checked(P, observed, T, f, h)
     E = _unit_columns(T)[0].toarray() - f.Q.T @ f.Z
-    return _objective(P, observed, 0.5 * h.lambda1 * float((E * E).sum()),
-                      float(np.vdot(f.Q, f.Q)), f, h)
+    return _objective(P[:, observed], f.V[:, observed], f.Z[:, observed],
+                      0.5 * h.lambda1 * float((E * E).sum()), float(np.vdot(f.Q, f.Q)), f, h)
 
 
 def gradients(P, observed, T, f: LatentFactors, h: Hyperparams) -> dict[str, np.ndarray]:
@@ -277,31 +280,26 @@ def _argmin(H, B, X):
         return X - np.linalg.pinv(H, hermitian=True) @ (H @ X - B)
 
 
-def _update_U(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+def _update_U(Po, Vo, f: LatentFactors, h: Hyperparams) -> np.ndarray:
     # Every row of U shares the Gram G = V_o V_o^T, so the block is the
     # Sylvester equation l2 (A A^T) U + U (G + l5 I) = P_o V_o^T + l2 A Z^T,
     # diagonal in the eigenbases E of A A^T and F of G.  A component whose
     # coefficient is zero has every term off and keeps its value, as under
     # a pseudo-inverse; a rank-deficient Gram's zero eigenvalues come out
     # at rounding level, of either sign, hence the pseudo-inverse cutoff.
-    V = f.V[:, observed]
     a, E = np.linalg.eigh(f.A @ f.A.T)
-    g, F = np.linalg.eigh(V @ V.T)
-    B = P[:, observed] @ V.T + h.lambda2 * (f.A @ f.Z.T)
+    g, F = np.linalg.eigh(Vo @ Vo.T)
+    B = Po @ Vo.T + h.lambda2 * (f.A @ f.Z.T)
     D = h.lambda2 * a[:, None] + g + h.lambda5
     U = E.T @ f.U @ F
     np.divide(E.T @ B @ F, D, out=U, where=D > D.max() * D.size * np.finfo(float).eps)
     return E @ U @ F.T
 
 
-def _update_V(P, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    # Every observed region's k x k system has the one matrix
-    # U^T U + (l4 + l5) I; an unobserved column has no term and keeps its value.
-    V = f.V.copy()
+def _update_V(Po, Vo, Zo, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+    # every observed column's k x k system has the one matrix U^T U + (l4 + l5) I
     H = f.U.T @ f.U + (h.lambda4 + h.lambda5) * np.eye(h.k)
-    B = f.U.T @ P[:, observed] + h.lambda4 * (f.W @ f.Z[:, observed])
-    V[:, observed] = _argmin(H, B, f.V[:, observed])
-    return V
+    return _argmin(H, f.U.T @ Po + h.lambda4 * (f.W @ Zo), Vo)
 
 
 def _gram_lower(T: CooMatrix) -> np.ndarray:
@@ -401,14 +399,14 @@ def _q_step(Z, ZK, nonempty: int, h: Hyperparams):
     return h.lambda1 * (Gi @ ZK), QQt, eliminated - 0.5 * h.lambda5 * q_sq, q_sq
 
 
-def _update_Z(QTn, QQt, observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+def _update_Z(QTn, QQt, observed, Vo, f: LatentFactors, h: Hyperparams) -> np.ndarray:
     # two k x k systems: the observed columns' adds the regression term
     H = h.lambda1 * QQt + h.lambda2 * np.eye(h.k)
     B = h.lambda1 * QTn + h.lambda2 * (f.U.T @ f.A)
     Z = np.empty_like(f.Z)
     Z[:, ~observed] = _argmin(H, B[:, ~observed], f.Z[:, ~observed])
     Z[:, observed] = _argmin(H + h.lambda4 * (f.W.T @ f.W),
-                             B[:, observed] + h.lambda4 * (f.W.T @ f.V[:, observed]),
+                             B[:, observed] + h.lambda4 * (f.W.T @ Vo),
                              f.Z[:, observed])
     return Z
 
@@ -425,10 +423,9 @@ def prox_step_A(f: LatentFactors, h: Hyperparams) -> np.ndarray:
     return soft_threshold(f.A - grad / L, h.lambda3 / L)
 
 
-def _update_W(observed, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    Z = f.Z[:, observed]
-    H = h.lambda4 * (Z @ Z.T) + h.lambda5 * np.eye(h.k)
-    return _argmin(H, h.lambda4 * (Z @ f.V[:, observed].T), f.W.T).T
+def _update_W(Vo, Zo, f: LatentFactors, h: Hyperparams) -> np.ndarray:
+    H = h.lambda4 * (Zo @ Zo.T) + h.lambda5 * np.eye(h.k)
+    return _argmin(H, h.lambda4 * (Zo @ Vo.T), f.W.T).T
 
 
 def fit(P, observed, T, h: Hyperparams,
@@ -451,26 +448,28 @@ def fit(P, observed, T, h: Hyperparams,
     # every update assigns a new array, so a shallow copy protects init
     f = replace(init, Q=None) if init is not None else init_factors(*P.shape, h)
     P, observed = _checked(P, observed, T, f, h, q_read=False)
+    Po, Vo, Zo = P[:, observed], f.V[:, observed], f.Z[:, observed]
     Tn, nonempty = _unit_columns(T)
     trace = FitTrace()
     trace.k_path, times_K = _k_times(Tn)
     # Z K of the current Z: the objective's, then the next Q step's
     ZK = times_K(f.Z)
     QTn, QQt, transform, q_sq = _q_step(f.Z, ZK, nonempty, h)
-    total, terms = _objective(P, observed, transform, q_sq, f, h)
+    total, terms = _objective(Po, Vo, Zo, transform, q_sq, f, h)
     if not np.isfinite(total):
         raise DivergenceError("objective is non-finite at the initial factors")
     trace.append(0, total, terms)
     prev = total
     for it in range(1, h.max_iter + 1):
-        f.U = _update_U(P, observed, f, h)
-        f.V = _update_V(P, observed, f, h)
-        f.Z = _update_Z(QTn, QQt, observed, f, h)
+        f.U = _update_U(Po, Vo, f, h)
+        Vo = _update_V(Po, Vo, Zo, f, h)
+        f.Z = _update_Z(QTn, QQt, observed, Vo, f, h)
+        Zo = f.Z[:, observed]
         f.A = prox_step_A(f, h)
-        f.W = _update_W(observed, f, h)
+        f.W = _update_W(Vo, Zo, f, h)
         ZK = times_K(f.Z)
         QTn, QQt, transform, q_sq = _q_step(f.Z, ZK, nonempty, h)
-        total, terms = _objective(P, observed, transform, q_sq, f, h)
+        total, terms = _objective(Po, Vo, Zo, transform, q_sq, f, h)
         if not np.isfinite(total):
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         trace.append(it, total, terms)
@@ -480,7 +479,8 @@ def fit(P, observed, T, h: Hyperparams,
             trace.stop_reason = "converged"
             break
         prev = total
-    f.V = np.where(observed, f.V, f.W @ f.Z)
+    f.V = f.W @ f.Z
+    f.V[:, observed] = Vo
     log = logger.info if trace.stop_reason == "converged" else logger.warning
     log("fit stopped after %d iterations (%s, Z K %s), objective %.6g, last "
         "relative decrease %.3g", trace.iters[-1], trace.stop_reason, trace.k_path,

@@ -335,6 +335,10 @@ class Pipeline:
             stale.unlink()
         replace(factors, U=None, Z=None, A=None, W=None).save(self.out / "factors")
         trace.to_csv(self.out / "trace.csv")
+        # regions with neither a venue nor a trip: nothing in the data fixes
+        # their latent column
+        trips = np.bincount(hap.data.col, weights=hap.data.data, minlength=poi.r)
+        empty = int(np.count_nonzero(~poi.mask & (trips == 0)))
         # latent columns of venue-free regions collapsing toward zero leave
         # the clustering one blob of them
         ratio = None
@@ -347,7 +351,7 @@ class Pipeline:
         return {"iterations": trace.iters[-1], "stop_reason": trace.stop_reason,
                 "objective": trace.totals[-1], "terms": trace.terms[-1],
                 "relative_decrease": trace.relative_decrease,
-                "k_path": trace.k_path,
+                "k_path": trace.k_path, "empty_regions": empty,
                 "unobserved_norm_ratio": ratio}
 
     def _features(self) -> np.ndarray:

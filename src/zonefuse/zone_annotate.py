@@ -76,8 +76,12 @@ def build_profiles(labels: np.ndarray, poi: PoiMatrix) -> list[ZoneProfile]:
     NPR is undefined) and come back with npr = g = None.
     """
     labels = np.asarray(labels)
+    # the distinct labels in order, from a sort: np.unique imports numpy.ma
+    ordered = np.sort(labels, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
     profiles = []
-    for s in np.unique(labels):
+    for s in ordered[first]:
         pr = zone_pr(labels, poi, int(s))
         profile = ZoneProfile(label=int(s),
                               member_count=int((labels == s).sum()), pr=pr)

@@ -211,7 +211,8 @@ def test_13_q_eliminated_objective_is_the_objective_at_the_best_q():
         Tn, nonempty = latent_fusion._unit_columns(T)
         _, _, transform, q_sq = latent_fusion._q_step(
             f.Z, latent_fusion._k_times(Tn)[1](f.Z), nonempty, h)
-        eliminated, terms = latent_fusion._objective(P, observed, transform, q_sq, f, h)
+        eliminated, terms = latent_fusion._objective(P[:, observed], f.V[:, observed],
+                                                     f.Z[:, observed], transform, q_sq, f, h)
         G = h.lambda1 * f.Z @ f.Z.T + h.lambda5 * np.eye(3)
         f.Q = h.lambda1 * np.linalg.solve(G, f.Z @ Tn.toarray().T)
         total, oracle = objective(P, observed, T, f, h)

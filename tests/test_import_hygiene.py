@@ -24,7 +24,7 @@ SRC = Path(zonefuse.__file__).resolve().parents[1]
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == {package!r})))
+print(json.dumps(sorted(sys.modules)))
 """
 
 CLI = """
@@ -34,15 +34,19 @@ if main(sys.argv[1:]) != 0:
 """
 
 
-def loaded(package: str, body: str, *args: str) -> list[str]:
-    """The modules of a package loaded after body runs in a new interpreter."""
+def modules_after(body: str, *args: str) -> list[str]:
+    """The modules loaded after body runs in a new interpreter."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    probe = PROBE.format(body=body, package=package)
-    done = subprocess.run([sys.executable, "-c", probe, *args],
+    done = subprocess.run([sys.executable, "-c", PROBE.format(body=body), *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded(package: str, body: str, *args: str) -> list[str]:
+    """The modules of a package loaded after body runs in a new interpreter."""
+    return [m for m in modules_after(body, *args) if m.split(".")[0] == package]
 
 
 def prime(root: Path, users: int) -> Path:
@@ -92,7 +96,11 @@ def test_cached_beta_edit_loads_no_scipy(primed):
     out = primed / "out"
     labels = (out / "labels.csv").read_bytes()
     before = json.loads((out / "manifest.json").read_text())["stages"]
-    assert verb(primed, "run", "--set", "beta=0.3") == []
+    modules = modules_after(CLI, "run", "--set", "beta=0.3",
+                            "--config", str(primed / "config.txt"))
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    # annotate lists its zones by a sort: np.unique would load numpy.ma
+    assert "numpy.linalg" in modules and "numpy.ma" not in modules
     after = json.loads((out / "manifest.json").read_text())["stages"]
     # annotate reran, so it read poi.coo, and still needed no scipy
     assert (out / "labels.csv").read_bytes() != labels

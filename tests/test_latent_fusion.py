@@ -383,8 +383,9 @@ class TestFit:
         f = random_factors(38, p, r, k, q)
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=0.7, lambda5=0.02)
-        f.U = latent_fusion._update_U(P, observed, f, h)
-        f.V = latent_fusion._update_V(P, observed, f, h)
+        f.U = latent_fusion._update_U(P[:, observed], f.V[:, observed], f, h)
+        f.V[:, observed] = latent_fusion._update_V(P[:, observed], f.V[:, observed],
+                                                   f.Z[:, observed], f, h)
         Tn, nonempty = latent_fusion._unit_columns(T)
         path, times_K = latent_fusion._k_times(Tn)
         assert path == {"dense": "dense", "diagonal": "triples", "multi": "triples"}[activity]
@@ -394,15 +395,16 @@ class TestFit:
         assert np.allclose(QTn, f.Q @ Tn.toarray(), atol=1e-10)
         assert np.allclose(QQt, f.Q @ f.Q.T, atol=1e-10)
         g_q = gradients(P, observed, T, f, h)["Q"]
-        f.Z = latent_fusion._update_Z(QTn, QQt, observed, f, h)
+        f.Z = latent_fusion._update_Z(QTn, QQt, observed, f.V[:, observed], f, h)
         g_z = gradients(P, observed, T, f, h)["Z"]
-        f.W = latent_fusion._update_W(observed, f, h)
+        f.W = latent_fusion._update_W(f.V[:, observed], f.Z[:, observed], f, h)
         g = gradients(P, observed, T, f, h)
         for name, grad in (("Q", g_q), ("Z", g_z), ("W", g["W"])):
             assert np.abs(grad).max() < 1e-10, name
-        f.U = latent_fusion._update_U(P, observed, f, h)
+        f.U = latent_fusion._update_U(P[:, observed], f.V[:, observed], f, h)
         assert np.abs(gradients(P, observed, T, f, h)["U"]).max() < 1e-10
-        f.V = latent_fusion._update_V(P, observed, f, h)
+        f.V[:, observed] = latent_fusion._update_V(P[:, observed], f.V[:, observed],
+                                                   f.Z[:, observed], f, h)
         assert np.abs(gradients(P, observed, T, f, h)["V"]).max() < 1e-10
 
     def test_blocks_without_terms_keep_their_value(self):
@@ -598,13 +600,13 @@ class TestObservedColumnSweep:
         lambda4, lambda5 = lambdas
         h = Hyperparams(k=k, lambda1=0.8, lambda2=1.1, lambda3=0.3,
                         lambda4=lambda4, lambda5=lambda5)
-        assert np.allclose(latent_fusion._update_U(P, observed, f, h),
+        Po, Vo, Zo = P[:, observed], f.V[:, observed], f.Z[:, observed]
+        assert np.allclose(latent_fusion._update_U(Po, Vo, f, h),
                            full_width_update_U(P, observed, f, h), rtol=1e-10, atol=1e-12)
-        V = latent_fusion._update_V(P, observed, f, h)
-        assert np.allclose(V, full_width_update_V(P, observed, f, h),
+        assert np.allclose(latent_fusion._update_V(Po, Vo, Zo, f, h),
+                           full_width_update_V(P, observed, f, h)[:, observed],
                            rtol=1e-10, atol=1e-12)
-        assert np.array_equal(V[:, ~observed], f.V[:, ~observed])
-        _, terms = latent_fusion._objective(P, observed, 0.0, 0.0, f, h)
+        _, terms = latent_fusion._objective(Po, Vo, Zo, 0.0, 0.0, f, h)
         assert terms["recon"] == pytest.approx(full_width_recon(P, observed, f), rel=1e-12)
 
     def test_U_components_without_terms_keep_their_value(self):
@@ -617,14 +619,109 @@ class TestObservedColumnSweep:
         f = random_factors(49, p, r, k, q)
         h = Hyperparams(k=k, lambda2=0.0, lambda5=0.0)
         # the rotations into and out of the eigenbases round only
-        assert np.allclose(latent_fusion._update_U(P, observed, f, h), f.U,
-                           rtol=0.0, atol=1e-14)
+        assert np.allclose(latent_fusion._update_U(P[:, observed], f.V[:, observed], f, h),
+                           f.U, rtol=0.0, atol=1e-14)
         observed[2] = True
-        U = latent_fusion._update_U(P, observed, f, h)
+        U = latent_fusion._update_U(P[:, observed], f.V[:, observed], f, h)
         v = f.V[:, 2]
         assert np.allclose(U @ v, P[:, 2], atol=1e-12)
         null = np.linalg.svd(v[None, :])[2][1:].T  # k x (k - 1), orthogonal to v
         assert np.allclose(U @ null, f.U @ null, atol=1e-12)
+
+
+def oracle_fit(P, observed, T, h, init=None):
+    """The sweep fit replaced: each block takes the mask and slices P, V
+    and Z itself, and V carries its unobserved columns through every
+    sweep.  Returns the factors and the trace totals."""
+    P = np.asarray(P, dtype=np.float64)
+    argmin = latent_fusion._argmin
+
+    def update_U(f):
+        V = f.V[:, observed]
+        a, E = np.linalg.eigh(f.A @ f.A.T)
+        g, F = np.linalg.eigh(V @ V.T)
+        B = P[:, observed] @ V.T + h.lambda2 * (f.A @ f.Z.T)
+        D = h.lambda2 * a[:, None] + g + h.lambda5
+        U = E.T @ f.U @ F
+        np.divide(E.T @ B @ F, D, out=U, where=D > D.max() * D.size * np.finfo(float).eps)
+        return E @ U @ F.T
+
+    def update_V(f):
+        V = f.V.copy()
+        H = f.U.T @ f.U + (h.lambda4 + h.lambda5) * np.eye(h.k)
+        B = f.U.T @ P[:, observed] + h.lambda4 * (f.W @ f.Z[:, observed])
+        V[:, observed] = argmin(H, B, f.V[:, observed])
+        return V
+
+    def update_Z(QTn, QQt, f):
+        H = h.lambda1 * QQt + h.lambda2 * np.eye(h.k)
+        B = h.lambda1 * QTn + h.lambda2 * (f.U.T @ f.A)
+        Z = np.empty_like(f.Z)
+        Z[:, ~observed] = argmin(H, B[:, ~observed], f.Z[:, ~observed])
+        Z[:, observed] = argmin(H + h.lambda4 * (f.W.T @ f.W),
+                                B[:, observed] + h.lambda4 * (f.W.T @ f.V[:, observed]),
+                                f.Z[:, observed])
+        return Z
+
+    def update_W(f):
+        Z = f.Z[:, observed]
+        H = h.lambda4 * (Z @ Z.T) + h.lambda5 * np.eye(h.k)
+        return argmin(H, h.lambda4 * (Z @ f.V[:, observed].T), f.W.T).T
+
+    def total(transform, q_sq, f):
+        V = f.V[:, observed]
+        R = P[:, observed] - f.U @ V
+        S = f.Z - f.U.T @ f.A
+        D = V - f.W @ f.Z[:, observed]
+        return (0.5 * float((R * R).sum()) + transform
+                + 0.5 * h.lambda2 * float((S * S).sum()) + h.lambda3 * float(np.abs(f.A).sum())
+                + 0.5 * h.lambda4 * float((D * D).sum())
+                + 0.5 * h.lambda5 * float((f.U * f.U).sum() + (V * V).sum()
+                                          + q_sq + (f.W * f.W).sum()))
+
+    f = replace(init, Q=None) if init is not None else init_factors(*P.shape, h)
+    Tn, nonempty = latent_fusion._unit_columns(T)
+    times_K = latent_fusion._k_times(Tn)[1]
+    QTn, QQt, transform, q_sq = latent_fusion._q_step(f.Z, times_K(f.Z), nonempty, h)
+    totals = [total(transform, q_sq, f)]
+    for _ in range(h.max_iter):
+        f.U = update_U(f)
+        f.V = update_V(f)
+        f.Z = update_Z(QTn, QQt, f)
+        f.A = prox_step_A(f, h)
+        f.W = update_W(f)
+        QTn, QQt, transform, q_sq = latent_fusion._q_step(f.Z, times_K(f.Z), nonempty, h)
+        totals.append(total(transform, q_sq, f))
+        prev, cur = totals[-2:]
+        if 0.0 <= prev - cur <= h.epsilon * max(abs(prev), 1.0):
+            break
+    f.V = np.where(observed, f.V, f.W @ f.Z)
+    return f, totals
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("with_init", [False, True])
+    @pytest.mark.parametrize("activity", ["dense", "triples"])
+    @pytest.mark.parametrize("mask", ["none", "some", "all"])
+    def test_fit_matches_the_mask_based_sweep(self, mask, activity, with_init):
+        # the same arithmetic on the same arrays, so the factors agree
+        # bit for bit; a term sum may round differently with the layout
+        # of the observed columns it reads
+        T = (standard_instance(57)[2] if activity == "dense" else few_multi_entry_rows(57))
+        p, k, (q, r) = 5, 3, T.shape
+        P, observed, _ = standard_instance(58, p=p, r=r, column_mask=True)
+        observed = {"none": np.zeros(r, dtype=bool), "some": observed,
+                    "all": np.ones(r, dtype=bool)}[mask]
+        init = random_factors(59, p, r, k, q) if with_init else None
+        h = Hyperparams(k=k, lambda1=0.8, lambda3=0.3, lambda5=0.02,
+                        epsilon=1e-7, max_iter=150, seed=6)
+        f, trace = fit(P, observed, T, h, init=init)
+        assert trace.k_path == activity
+        want, totals = oracle_fit(P, observed, CooMatrix.of(T), h, init=init)
+        for name in ("U", "V", "Z", "A", "W"):
+            assert np.array_equal(getattr(f, name), getattr(want, name)), name
+        assert len(trace.totals) == len(totals)
+        assert np.allclose(trace.totals, totals, rtol=1e-15, atol=0.0)
 
 
 class TestTraceAndPersistence:

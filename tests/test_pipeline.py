@@ -104,6 +104,20 @@ class TestFullRun:
                                       rel=1e-12)
         assert ("latent columns of unobserved" in caplog.text) == (ratio < 1e-2)
 
+    def test_fit_notes_count_the_empty_regions(self, tmp_path):
+        # five users leave some venue-free regions without a trip
+        spec = SynthCitySpec(width=8, height=8, n_zones=4, n_users=5,
+                             days=1, obs_rate=0.6, seed=5)
+        gen_synthetic_city(spec, tmp_path)
+        cfg = write_city_config(spec, tmp_path, max_iter="5", k="4",
+                                method="kmeans", feature="raw_poi")
+        notes = run(PipelineConfig.load(cfg))["stages"]["fit"]["notes"]
+        out = tmp_path / "out"
+        observed = PoiMatrix.load(out / "poi.coo", out / "poi.json").mask
+        T = HapMatrix.load(out / "hap.coo", out / "hap.json").data.toarray()
+        empty = [j for j in range(64) if not observed[j] and not T[:, j].any()]
+        assert notes["empty_regions"] == len(empty) > 0
+
     def test_collapsed_unobserved_columns_warn(self, city, caplog, monkeypatch):
         def collapsing_fit(P, observed, T, h):
             factors, trace = zonefuse.latent_fusion.fit(P, observed, T, h)

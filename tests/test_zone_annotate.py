@@ -121,6 +121,16 @@ class TestBuildProfiles:
         profiles = build_profiles(np.array([0, 0, 1]), poi_from_dense(P))
         assert [p.member_count for p in profiles] == [2, 1]
 
+    @pytest.mark.parametrize("labels", [[3, -1, 3, 0, -1, 7], [2, 2, 2, 2, 2, 2], []])
+    def test_zones_in_label_order(self, labels):
+        # negative, repeated and no labels: the zones np.unique lists
+        labels = np.array(labels, dtype=np.int64)
+        P = np.arange(1.0, 1.0 + 2 * len(labels)).reshape(2, -1)
+        profiles = build_profiles(labels, poi_from_dense(P))
+        assert [p.label for p in profiles] == np.unique(labels).tolist()
+        assert [p.member_count for p in profiles] == \
+            np.unique(labels, return_counts=True)[1].tolist()
+
     def test_one_annotatable_zone_gets_no_g(self):
         P = np.array([[3.0, 0.0], [1.0, 0.0]])
         profiles = build_profiles(np.array([0, 1]), poi_from_dense(P))
