@@ -13,7 +13,6 @@ between consecutive stays (`TRIP_DTYPE`).
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -21,14 +20,15 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
-from itertools import chain, compress, islice, repeat
+from itertools import compress
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .geo_grid import EARTH_RADIUS_M, GeoPoint, GridIndex, haversine_m
-from .sparse_io import CooMatrix, read_coo, save_coo
+from .geo_grid import EARTH_RADIUS_M, GeoPoint, GridIndex, haversine_m, valid_points
+from .sparse_io import (CooMatrix, convert_fields, open_table, read_columns, read_coo,
+                        save_coo)
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,6 @@ TRIP_DTYPE = np.dtype([("kind", np.int8), ("origin", np.int64),
                        ("dest", np.int64), ("t", np.float64)])
 
 GPS_COLUMNS = ("user_id", "lat", "lon", "timestamp")
-# lines parsed per batch: large enough to amortize the per-batch calls,
-# small enough that the split strings of one batch stay a few MB
-CHUNK_LINES = 4096
 # the stay scan checks offsets 1..STAY_PASSES for every point at once;
 # only an anchor whose stay outlasts them is scanned further on its own
 STAY_PASSES = 32
@@ -141,64 +138,6 @@ def _is_epoch(stamps: list[str]) -> bool | None:
     return None
 
 
-def _convert(fields: list[str], convert) -> tuple[np.ndarray, np.ndarray]:
-    """convert() of each field, and the mask of the fields it accepted."""
-    n = len(fields)
-    try:
-        return np.fromiter(map(convert, fields), np.float64, n), np.ones(n, dtype=bool)
-    except ValueError:
-        pass
-    values = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
-    for i, raw in enumerate(fields):
-        try:
-            values[i] = convert(raw)
-            ok[i] = True
-        except ValueError:
-            pass
-    return values, ok
-
-
-def _read_columns(fh, width: int, picks: list[int]):
-    """Yield the picked fields of the next CHUNK_LINES rows, column-wise.
-
-    A chunk of plain lines (no quote, NUL or carriage return outside a
-    CRLF line ending, each with `width` fields) is split directly.  Any
-    other chunk goes through csv.reader, which reads on past the chunk to
-    finish a quoted field that spans lines.  As in csv.DictReader, blank
-    rows are skipped.  The missing fields of a short row read as empty,
-    which every field rejects just as it rejects DictReader's None.  Only
-    the picked columns outlive a chunk: its lines, text and split fields
-    are dropped before the next chunk is read.
-    """
-    while True:
-        lines = list(islice(fh, CHUNK_LINES))
-        if not lines:
-            return
-        text = "".join(lines)
-        if "\r" in text:
-            # a lone \r, which ends a line as well, is left for csv.reader
-            text = text.replace("\r\n", "\n")
-        if ('"' in text or "\r" in text or "\0" in text
-                or set(map(str.count, lines, repeat(","))) != {width - 1}):
-            reader = csv.reader(chain(lines, fh))
-            rows = []
-            while reader.line_num < len(lines):
-                row = next(reader)
-                if row:
-                    rows.append(row)
-            columns = [[row[i] if i < len(row) else "" for row in rows] for i in picks]
-            del lines, text, reader, rows
-        else:
-            del lines
-            text = text.removesuffix("\n").replace("\n", ",")
-            fields = text.split(",")
-            del text
-            columns = [fields[i::width] for i in picks]
-            del fields
-        yield columns
-
-
 class Trajectories(Mapping):
     """The GPS points of every user in one record array.
 
@@ -248,26 +187,17 @@ def _read_points(fh, path, weekdays_only: bool,
     malformed = 0
     total = 0
     epoch_mode: bool | None = None
-    header = next(csv.reader(fh), None)
-    if header is None or not set(GPS_COLUMNS).issubset(header):
-        raise DataError(f"{path}: header must contain {sorted(GPS_COLUMNS)}")
-    # a repeated column name reads its last occurrence, as in csv.DictReader
-    where = {name: i for i, name in enumerate(header)}
-    picks = [where[name] for name in GPS_COLUMNS]
-    for users, lats, lons, stamps in _read_columns(fh, len(header), picks):
+    for users, lats, lons, stamps in read_columns(fh, path, GPS_COLUMNS):
         total += len(users)
         if epoch_mode is None:
             epoch_mode = _is_epoch(stamps)
         if epoch_mode is None:
             malformed += len(users)
             continue
-        t, ok = _convert(stamps, float if epoch_mode else _iso_seconds)
-        lat, ok_lat = _convert(lats, float)
-        lon, ok_lon = _convert(lons, float)
-        # GeoPoint's rules: NaN fails every comparison, infinities the ranges
-        ok &= (ok_lat & ok_lon & (lat >= -90.0) & (lat <= 90.0)
-               & (lon >= -180.0) & (lon <= 180.0)
-               & (t >= _T_MIN) & (t <= _T_MAX))
+        t, ok = convert_fields(stamps, float if epoch_mode else _iso_seconds)
+        lat, ok_lat = convert_fields(lats, float)
+        lon, ok_lon = convert_fields(lons, float)
+        ok &= ok_lat & ok_lon & valid_points(lat, lon) & (t >= _T_MIN) & (t <= _T_MAX)
         ok &= np.fromiter(map(bool, users), bool, len(users))
         malformed += len(users) - int(np.count_nonzero(ok))
         if weekdays_only:
@@ -304,11 +234,7 @@ def parse_gps(path, weekdays_only: bool = False,
     Returns (trajectories, number of malformed rows).
     """
     zone = parse_timezone(tz)
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read GPS file {path}: {exc}") from exc
-    with fh:
+    with open_table(path, "GPS file") as fh:
         points, codes, total, malformed = _read_points(fh, path, weekdays_only, zone)
     if total > 0 and malformed * 2 > total:
         raise DataError(f"{path}: {malformed} of {total} rows malformed")

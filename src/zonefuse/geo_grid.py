@@ -5,6 +5,9 @@ base-32 geohash string of a fixed length (the grid level).  Each distinct
 string names one rectangular cell; the cells of the study bounding box are
 enumerated row-major and assigned stable column indices that the rest of
 the pipeline uses to address regions.
+
+The region tables, `cells.csv` and the `labels.csv` of a labeling, are
+written and read here, one row per region in column order.
 """
 from __future__ import annotations
 
@@ -37,6 +40,12 @@ class GeoPoint:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
+
+
+def valid_points(lat, lon) -> np.ndarray:
+    """Mask of the (lat, lon) pairs that make a valid GeoPoint."""
+    # NaN fails every comparison, infinities the ranges
+    return (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
 
 
 @dataclass(frozen=True)
@@ -255,10 +264,6 @@ class GridIndex:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def column_of_point(self, p: GeoPoint) -> int | None:
-        col = int(self.columns_of_points([p.lat], [p.lon])[0])
-        return col if col >= 0 else None
-
     def columns_of_points(self, lat, lon) -> np.ndarray:
         """Column of the cell holding each point, or -1 outside the grid.
 
@@ -268,9 +273,7 @@ class GridIndex:
         """
         lat = np.asarray(lat, dtype=np.float64)
         lon = np.asarray(lon, dtype=np.float64)
-        # NaN fails every comparison, infinities the ranges
-        bad = np.flatnonzero(~((lat >= -90.0) & (lat <= 90.0)
-                               & (lon >= -180.0) & (lon <= 180.0)))
+        bad = np.flatnonzero(~valid_points(lat, lon))
         if bad.size:
             GeoPoint(float(lat[bad[0]]), float(lon[bad[0]]))  # raises, naming it
         row, col = _cell_coords(lat, lon, self.level)
@@ -280,34 +283,20 @@ class GridIndex:
         return np.where(inside, row * n_cols + col, -1)
 
     def to_csv(self, path) -> None:
-        """Write cells.csv: column index, geohash and `box_reprs()` per cell,
-        in the bytes `csv.writer` would give (CRLF line ends, no field
-        needs quoting)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("column_index,geohash,min_lat,min_lon,max_lat,max_lon\r\n")
-            fh.writelines(map("{},{},{},{},{},{}\r\n".format, range(len(self)),
-                              self.codes, *self.box_reprs()))
+        """Write cells.csv: column index, geohash and `box_reprs()` per cell."""
+        _write_table(path, ("column_index", "geohash", "min_lat", "min_lon",
+                            "max_lat", "max_lon"),
+                     range(len(self)), self.codes, *self.box_reprs())
 
     @classmethod
     def from_csv(cls, path) -> "GridIndex":
         """Reload a grid written by to_csv.
 
         The first and last cells fix the rectangle; a file listing any
-        other cells or order than that rectangle row-major, or a row
-        without one value per header field, is rejected.
+        other cells or order than that rectangle row-major is rejected,
+        as `_read_table` rejects a malformed table.
         """
-        codes: list[str] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            field_at = {name: j for j, name in enumerate(header)}
-            for i, row in enumerate(filter(None, reader)):  # blank lines hold no row
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: row {i} has {len(row)} fields, "
-                                     f"expected {len(header)}")
-                if int(row[field_at["column_index"]]) != i:
-                    raise ValueError(f"{path}: column_index out of order at row {i}")
-                codes.append(row[field_at["geohash"]])
+        (codes,) = _read_table(path, "geohash")
         if not codes:
             raise ValueError(f"{path}: empty cell manifest")
         first, last = CellId.of(codes[0]), CellId.of(codes[-1])
@@ -359,3 +348,49 @@ def enumerate_cells(bbox: Box, level: int) -> GridIndex:
         lon_hi -= 1
     return GridIndex(bbox=bbox, level=level, origin=(lat_lo, lon_lo),
                      shape=(lat_hi - lat_lo + 1, lon_hi - lon_lo + 1))
+
+
+def _write_table(path, header: tuple[str, ...], *columns) -> None:
+    """Write a region table: the header, then one row per region from the
+    columns' values, in the bytes `csv.writer` would give (CRLF line
+    ends; no field needs quoting)."""
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.format, *columns))
+
+
+def _read_table(path, *names: str) -> list[list[str]]:
+    """The named columns of a region table, as text.
+
+    Raises ValueError when a row does not hold one value per header
+    field, or when a row's column_index, read by int(), is not its
+    position among the rows.  Blank lines hold no row.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(filter(None, reader))
+    at = {name: j for j, name in enumerate(header)}
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, "
+                             f"expected {len(header)}")
+        if int(row[at["column_index"]]) != i:
+            raise ValueError(f"{path}: column_index out of order at row {i}")
+    return [[row[at[name]] for row in rows] for name in names]
+
+
+def save_labels(path, codes: list[str], labels) -> None:
+    """Write labels.csv from the regions' geohash codes, in column order,
+    and their labels: geohash, column index and label per region."""
+    if len(codes) != len(labels):
+        raise ValueError("code list and labels differ in length")
+    _write_table(path, ("geohash", "column_index", "label"), codes, range(len(codes)),
+                 np.asarray(labels).astype(np.int64).tolist())
+
+
+def load_labels(path) -> tuple[list[str], np.ndarray]:
+    """The geohash codes and labels of a labels.csv, in column order."""
+    codes, labels = _read_table(path, "geohash", "label")
+    return codes, np.array(labels, dtype=np.int64)

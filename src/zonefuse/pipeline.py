@@ -28,12 +28,12 @@ from .activity_ingest import (HapMatrix, build_hap_matrix, detect_activities,
                               parse_gps, to_activity_infos)
 from .config import PipelineConfig
 from .errors import ConfigError, DataError
-from .geo_grid import Box, GridIndex, enumerate_cells
+from .geo_grid import Box, GridIndex, enumerate_cells, load_labels, save_labels
 from .latent_fusion import Hyperparams, LatentFactors, fit
 from .poi_ingest import (CategoryTable, PoiMatrix, build_poi_matrix, parse_pois,
                          raw_poi_features, svd_features, tfidf_transform)
 from .zone_annotate import build_profiles, format_report, ranked_report, save_report
-from .zone_cluster import crf_fit, kmeans, load_labels, save_labels
+from .zone_cluster import crf_fit, kmeans
 
 logger = logging.getLogger(__name__)
 
@@ -267,8 +267,7 @@ class Pipeline:
                 hint = "" if name in INPUT_PATH_KEYS else "; run the earlier stages first"
                 raise DataError(f"stage {stage!r} needs {path}{hint}")
 
-    def _grid(self, stage: str) -> GridIndex:
-        self._require(stage, "cells.csv")
+    def _grid(self) -> GridIndex:
         if self._kept_grid is None:
             with _reading(self.out / "cells.csv"):
                 self._kept_grid = GridIndex.from_csv(self.out / "cells.csv")
@@ -291,7 +290,7 @@ class Pipeline:
 
     def _stage_ingest_gps(self) -> dict:
         cfg = self.cfg
-        grid = self._grid("ingest-gps")
+        grid = self._grid()
         started = time.perf_counter()
         trajectories, malformed = parse_gps(cfg.gps_path,
                                             weekdays_only=cfg.weekdays_only,
@@ -313,7 +312,7 @@ class Pipeline:
                 "lookup_s": located - detected, "matrix_s": built - located}
 
     def _stage_ingest_poi(self) -> dict:
-        grid = self._grid("ingest-poi")
+        grid = self._grid()
         categories = (CategoryTable.from_csv(self.cfg.category_path)
                       if self.cfg.category_path else CategoryTable.default())
         records, rejects = parse_pois(self.cfg.poi_path, categories)
@@ -374,7 +373,7 @@ class Pipeline:
 
     def _stage_cluster(self) -> dict:
         cfg = self.cfg
-        grid = self._grid("cluster")
+        grid = self._grid()
         F = self._features()
         r = F.shape[1]
         if r != len(grid):
@@ -404,7 +403,7 @@ class Pipeline:
         return notes
 
     def _stage_annotate(self) -> dict:
-        grid = self._grid("annotate")
+        grid = self._grid()
         with _reading(self.out / "labels.csv"):
             codes, labels = load_labels(self.out / "labels.csv")
         if codes != grid.codes:

@@ -9,17 +9,16 @@ of any such array.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
-import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from .errors import DataError
-from .geo_grid import GeoPoint, GridIndex
-from .sparse_io import read_coo, save_coo
+from .geo_grid import GridIndex, valid_points
+from .sparse_io import convert_fields, open_table, read_columns, read_coo, save_coo
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +55,9 @@ DEFAULT_CATEGORIES = [
 
 FEATURE_KINDS = ("raw_poi", "tfidf", "svd_poi", "latent_v")
 
+# a POI: its coordinates and the index of its category in the table
+POI_DTYPE = np.dtype([("lat", np.float64), ("lon", np.float64), ("category", np.int64)])
+
 
 @dataclass
 class CategoryTable:
@@ -89,78 +91,61 @@ class CategoryTable:
 
     @classmethod
     def from_csv(cls, path) -> "CategoryTable":
+        """Read an `id,name` table of distinct integer ids and names."""
         names: list[str] = []
         lookup: dict[str, int] = {}
-        try:
-            fh = open(path, newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read category table {path}: {exc}") from exc
-        with fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "name"}.issubset(reader.fieldnames):
-                raise DataError(f"{path}: header must contain ['id', 'name']")
-            for row in reader:
-                try:
-                    cid = str(int(row["id"]))
-                except (TypeError, ValueError):
-                    raise DataError(f"{path}: bad category id {row['id']!r}") from None
-                name = cls._norm(row["name"] or "")
-                if not name or cid in lookup or name in lookup:
-                    raise DataError(f"{path}: duplicate or empty category row {row}")
-                idx = len(names)
-                names.append(row["name"].strip())
-                lookup[name] = idx
-                lookup[cid] = idx
+        with open_table(path, "category table") as fh:
+            for ids, raws in read_columns(fh, path, ("id", "name")):
+                for raw_id, raw in zip(ids, raws):
+                    try:
+                        cid = str(int(raw_id))
+                    except ValueError:
+                        raise DataError(f"{path}: bad category id {raw_id!r}") from None
+                    name = cls._norm(raw)
+                    if not name or cid in lookup or name in lookup:
+                        raise DataError(f"{path}: duplicate or empty category "
+                                        f"{raw_id!r}, {raw!r}")
+                    lookup[name] = lookup[cid] = len(names)
+                    names.append(raw.strip())
         return cls(names=names, lookup=lookup)
 
 
-@dataclass(frozen=True)
-class PoiRecord:
-    """A point of interest with its resolved category index."""
-
-    lat: float
-    lon: float
-    category: int
-
-
-def parse_pois(path, categories: CategoryTable) -> tuple[list[PoiRecord], dict[str, int]]:
+def parse_pois(path, categories: CategoryTable) -> tuple[np.recarray, dict[str, int]]:
     """Read a POI CSV (lat,lon,category) against a category table.
 
     The category field may be a name or a numeric id.  Rows with unknown
-    categories are skipped and reported in the returned rejection map;
-    structurally broken rows (bad coordinates, missing fields) raise
-    DataError since POI files are curated reference data.
+    categories are skipped and counted by stripped name in the returned
+    rejection map; the first structurally broken row (bad coordinates,
+    missing fields) raises DataError since POI files are curated
+    reference data.  The kept rows come back as a POI_DTYPE record array.
     """
-    records: list[PoiRecord] = []
+    parts = [np.empty(0, dtype=POI_DTYPE)]
     rejects: dict[str, int] = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read POI file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        expected = {"lat", "lon", "category"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise DataError(f"{path}: header must contain {sorted(expected)}")
-        for i, row in enumerate(reader):
-            try:
-                lat = float(row["lat"])
-                lon = float(row["lon"])
-                GeoPoint(lat, lon)
-                raw = (row["category"] or "").strip()
-                if not raw:
-                    raise ValueError("missing category")
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row {i + 2}: {exc}") from None
-            idx = categories.resolve(raw)
-            if idx is None:
+    rows = 0
+    with open_table(path, "POI file") as fh:
+        for lats, lons, raws in read_columns(fh, path, ("lat", "lon", "category")):
+            lat, ok_lat = convert_fields(lats, float)
+            lon, ok_lon = convert_fields(lons, float)
+            located = ok_lat & ok_lon & valid_points(lat, lon)
+            raws = list(map(str.strip, raws))
+            ok = located & np.fromiter(map(bool, raws), bool, len(raws))
+            if not ok.all():
+                i = int(np.argmin(ok))
+                reason = ("missing category" if located[i]
+                          else f"bad coordinates ({lats[i]!r}, {lons[i]!r})")
+                raise DataError(f"{path}: malformed row {rows + i + 2}: {reason}")
+            rows += len(raws)
+            index = {raw: categories.resolve(raw) for raw in dict.fromkeys(raws)}
+            category = np.fromiter((-1 if index[raw] is None else index[raw]
+                                    for raw in raws), np.int64, len(raws))
+            for raw in compress(raws, category < 0):
                 rejects[raw] = rejects.get(raw, 0) + 1
-            else:
-                records.append(PoiRecord(lat, lon, idx))
+            kept = np.rec.fromarrays((lat, lon, category), dtype=POI_DTYPE)
+            parts.append(kept[category >= 0])
     if rejects:
         logger.info("parse_pois rejected %d rows with unknown categories",
                     sum(rejects.values()))
-    return records, rejects
+    return np.concatenate(parts).view(np.recarray), rejects
 
 
 @dataclass
@@ -219,20 +204,20 @@ class PoiMatrix:
                    dropped=int(meta.get("dropped", 0)))
 
 
-def build_poi_matrix(records: list[PoiRecord], grid: GridIndex,
+def build_poi_matrix(records: np.ndarray, grid: GridIndex,
                      categories: CategoryTable) -> PoiMatrix:
-    """Count POIs into a category x region matrix over the grid.
+    """Count POIs, with the fields of POI_DTYPE, into a category x region
+    matrix over the grid.
 
     Records outside the grid are dropped and counted on the result.
     """
     n_cat = len(categories)
     r = len(grid)
-    category = np.array([rec.category for rec in records], dtype=np.int64)
+    category = records["category"]
     bad = np.flatnonzero((category < 0) | (category >= n_cat))
     if bad.size:
         raise ValueError(f"category index {category[bad[0]]} outside table of {n_cat}")
-    cols = grid.columns_of_points([rec.lat for rec in records],
-                                  [rec.lon for rec in records])
+    cols = grid.columns_of_points(records["lat"], records["lon"])
     inside = cols >= 0
     rows = category[inside]
     dropped = len(records) - len(rows)

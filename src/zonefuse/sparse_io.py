@@ -1,18 +1,101 @@
-"""Text COO codec shared by the count matrices, and the in-memory COO type.
+"""The input CSV reader and the text COO codec of the count matrices.
 
-On disk: one `row col value` triple per line, sorted by row then column,
-with values written as integers.  `read_coo` returns the triples of a
-file, checked against a shape.  In memory, `CooMatrix` holds coalesced
-triples in numpy arrays; nothing here imports scipy.
+`read_columns` reads named columns of a CSV, a chunk of rows at a time;
+each caller decides what a field that fails `convert_fields` means.  A
+count matrix on disk is one `row col value` triple per line, sorted by
+row then column, with values written as integers.  `read_coo` returns
+the triples of a file, checked against a shape.  In memory, `CooMatrix`
+holds coalesced triples in numpy arrays; nothing here imports scipy.
 """
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
+from .errors import DataError
+
 _ROWS_PER_WRITE = 1 << 12
+# lines parsed per batch: large enough to amortize the per-batch calls,
+# small enough that the split strings of one batch stay a few MB
+CHUNK_LINES = 4096
+
+
+def open_table(path, what: str):
+    """Open an input CSV, or raise DataError naming it as `what`."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def convert_fields(fields: list[str], convert) -> tuple[np.ndarray, np.ndarray]:
+    """convert() of each field, and the mask of the fields it accepted."""
+    n = len(fields)
+    try:
+        return np.fromiter(map(convert, fields), np.float64, n), np.ones(n, dtype=bool)
+    except ValueError:
+        pass
+    values = np.zeros(n)
+    ok = np.zeros(n, dtype=bool)
+    for i, raw in enumerate(fields):
+        try:
+            values[i] = convert(raw)
+            ok[i] = True
+        except ValueError:
+            pass
+    return values, ok
+
+
+def read_columns(fh, path, names: tuple[str, ...]):
+    """Yield the columns `names` of an open CSV from its header row on,
+    CHUNK_LINES rows at a time, as one list of fields per name.
+
+    Raises DataError when the header lacks a name; a repeated name reads
+    its last column, as in csv.DictReader.  A chunk of plain lines (no
+    quote, NUL or carriage return outside a CRLF line ending, each with
+    as many fields as the header) is split directly.  Any other chunk goes
+    through csv.reader, which reads on past the chunk to finish a quoted
+    field that spans lines.  As in csv.DictReader, blank rows are skipped.
+    The missing fields of a short row read as empty, which every field
+    rejects just as it rejects DictReader's None.  Only the picked columns
+    outlive a chunk: its lines, text and split fields are dropped before
+    the next chunk is read.
+    """
+    header = next(csv.reader(fh), None)
+    if header is None or not set(names).issubset(header):
+        raise DataError(f"{path}: header must contain {sorted(names)}")
+    where = {name: i for i, name in enumerate(header)}
+    width, picks = len(header), [where[name] for name in names]
+    while True:
+        lines = list(islice(fh, CHUNK_LINES))
+        if not lines:
+            return
+        text = "".join(lines)
+        if "\r" in text:
+            # a lone \r, which ends a line as well, is left for csv.reader
+            text = text.replace("\r\n", "\n")
+        if ('"' in text or "\r" in text or "\0" in text
+                or set(map(str.count, lines, repeat(","))) != {width - 1}):
+            reader = csv.reader(chain(lines, fh))
+            rows = []
+            while reader.line_num < len(lines):
+                row = next(reader)
+                if row:
+                    rows.append(row)
+            columns = [[row[i] if i < len(row) else "" for row in rows] for i in picks]
+            del lines, text, reader, rows
+        else:
+            del lines
+            text = text.removesuffix("\n").replace("\n", ",")
+            fields = text.split(",")
+            del text
+            columns = [fields[i::width] for i in picks]
+            del fields
+        yield columns
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,9 +19,8 @@ from typing import ClassVar
 import numpy as np
 
 from .config import PipelineConfig
-from .geo_grid import Box, GridIndex, cell_spans, enumerate_cells
+from .geo_grid import Box, GridIndex, cell_spans, enumerate_cells, save_labels
 from .poi_ingest import DEFAULT_CATEGORIES
-from .zone_cluster import save_labels
 
 SIM_START_EPOCH = 1520208000  # 2018-03-05 00:00:00 UTC, a Monday
 

@@ -10,13 +10,9 @@ k-means start, one numpy step per coding set of the lattice (Besag 1986),
 alternating with Gaussian refits (hard EM) until the labeling is stable.
 The zones share one pooled diagonal variance, and the start is the
 k-means run of lowest inertia among KMEANS_STARTS seeds on window means.
-An exhaustive minimizer over all labelings is included for small grids so
-the local search can be audited.
 """
 from __future__ import annotations
 
-import csv
-import itertools
 import json
 import logging
 import math
@@ -36,9 +32,6 @@ KMEANS_STARTS = 5
 # the k-means starts average each region over the lattice window of radius
 # min(n_rows, n_cols) // START_WINDOW_DIVISOR around it: 0 below 16 rows
 START_WINDOW_DIVISOR = 16
-
-EXHAUSTIVE_LIMIT = 2_000_000
-
 
 # the coding sets of the 8-neighbor lattice, by (row % 2, col % 2), in
 # update order: no two cells of one set are neighbors
@@ -385,22 +378,6 @@ def _refit(X, labels, c, beta):
                              labels=labels)
 
 
-def exhaustive_map(F, model: ZoneModel, shape) -> np.ndarray:
-    """Global energy minimizer on the (n_rows, n_cols) lattice by
-    enumeration; only viable for tiny grids."""
-    X = _points(F)
-    r = X.shape[0]
-    c = model.n_zones
-    n_rows, n_cols = _lattice(shape, r)
-    if c ** r > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"{c}^{r} labelings exceed the enumeration limit")
-    U = _unary(X, model.means, model.variances)
-    all_labels = np.array(list(itertools.product(range(c), repeat=r)), dtype=np.int64)
-    unary = U[np.arange(r), all_labels].sum(axis=1)
-    pair = _pair_energy(all_labels.reshape(-1, n_rows, n_cols), model.beta)
-    return all_labels[int(np.argmin(unary + pair))].copy()
-
-
 def adjusted_rand_index(a, b) -> float:
     """Adjusted Rand index between two labelings of the same regions."""
     a = np.asarray(a).ravel()
@@ -426,34 +403,3 @@ def adjusted_rand_index(a, b) -> float:
     if max_index == expected:
         return 1.0
     return float((sum_ij - expected) / (max_index - expected))
-
-
-def save_labels(path, codes: list[str], labels: np.ndarray) -> None:
-    """Write labels.csv from the regions' geohash codes, in column order,
-    and their labels: geohash, column index and label per region, in the
-    bytes `csv.writer` would give (CRLF line ends, no field needs quoting)."""
-    if len(codes) != len(labels):
-        raise ValueError("code list and labels differ in length")
-    with open(path, "w", newline="") as fh:
-        fh.write("geohash,column_index,label\r\n")
-        fh.writelines(map("{},{},{}\r\n".format, codes, range(len(codes)),
-                          np.asarray(labels).astype(np.int64).tolist()))
-
-
-def load_labels(path) -> tuple[list[str], np.ndarray]:
-    """The geohash codes and labels of a labels.csv, in column order.
-
-    Raises ValueError when a row's column_index is not its position, or
-    when the rows do not all hold one value per header field.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(filter(None, reader))  # blank lines hold no row
-    table = np.array(rows, dtype=str).reshape(len(rows), len(header))
-    field = dict(zip(header, table.T.tolist()))
-    index = np.array(field["column_index"], dtype=np.int64)
-    out_of_order = np.flatnonzero(index != np.arange(len(rows)))
-    if out_of_order.size:
-        raise ValueError(f"{path}: column_index out of order at row {out_of_order[0]}")
-    return field["geohash"], np.array(field["label"], dtype=np.int64)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from zonefuse import latent_fusion
 from zonefuse.cli import main as cli_main
 from zonefuse.config import PipelineConfig
-from zonefuse.geo_grid import GeoPoint, cell_spans, decode, encode, haversine_m
+from zonefuse.geo_grid import GeoPoint, cell_spans, decode, encode, haversine_m, load_labels
 from zonefuse.latent_fusion import (
     Hyperparams,
     LatentFactors,
@@ -29,6 +29,7 @@ from zonefuse.latent_fusion import (
 )
 from zonefuse.pipeline import Pipeline
 from zonefuse.poi_ingest import PoiMatrix
+from zonefuse.sparse_io import CooMatrix
 from zonefuse.synth import (
     SynthCitySpec,
     gen_synthetic_city,
@@ -41,12 +42,11 @@ from zonefuse.zone_cluster import (
     adjusted_rand_index,
     crf_fit,
     energy,
-    exhaustive_map,
     fit_gaussians,
     icm_map,
     kmeans,
-    load_labels,
 )
+from test_zone_cluster import exhaustive_map
 
 
 def verdict(name: str, ok: bool, detail: str) -> str:
@@ -109,6 +109,8 @@ def test_01_gradients_match_finite_differences():
     worst = 0.0
     for seed in range(20):
         P, observed, T = random_instance(seed)
+        # converted once here, not on each of the oracle's calls
+        T = CooMatrix.of(T)
         h = Hyperparams(k=3, seed=seed)
         f = random_factors(seed, P.shape[0], P.shape[1], T.shape[0], 3)
         analytic = gradients(P, observed, T, f, h)

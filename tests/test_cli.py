@@ -7,7 +7,7 @@ import zonefuse.pipeline
 from zonefuse.cli import STAGE_VERBS, main
 from zonefuse.config import PipelineConfig
 from zonefuse.errors import DivergenceError
-from zonefuse.zone_cluster import load_labels
+from zonefuse.geo_grid import load_labels
 
 
 @pytest.fixture(scope="module")

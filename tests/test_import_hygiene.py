@@ -160,3 +160,17 @@ def test_zone_cluster_imports_no_package_module():
     names = imported(SRC / "zonefuse" / "zone_cluster.py")
     assert "numpy" in names
     assert [n for n in names if n.startswith(".") or n.split(".")[0] == "zonefuse"] == []
+
+
+def test_no_module_reads_csv_by_dict_reader():
+    # every input table goes through sparse_io.read_columns
+    for path in sorted((SRC / "zonefuse").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert "DictReader" not in names, path.name

@@ -13,7 +13,7 @@ import zonefuse.latent_fusion
 import zonefuse.pipeline
 from zonefuse.config import PipelineConfig, parse_pairs
 from zonefuse.errors import ConfigError, DataError
-from zonefuse.geo_grid import Box, GridIndex, decode, enumerate_cells
+from zonefuse.geo_grid import Box, GridIndex, decode, enumerate_cells, load_labels
 from zonefuse.latent_fusion import TERM_NAMES, LatentFactors
 from zonefuse.pipeline import (CLUSTER_METHOD_OUTPUTS, PALETTE, STAGE_IO, STAGE_OUTPUTS,
                                STAGES, Pipeline, export_geojson, file_sha256, run)
@@ -22,7 +22,7 @@ from zonefuse.activity_ingest import HapMatrix
 from zonefuse.synth import (SynthCitySpec, city_grid, gen_synthetic_city, planted_labels,
                             write_city_config)
 from zonefuse import zone_cluster
-from zonefuse.zone_cluster import ZoneModel, adjusted_rand_index, energy, load_labels
+from zonefuse.zone_cluster import ZoneModel, adjusted_rand_index, energy
 
 
 @pytest.fixture(scope="module")
@@ -288,9 +288,9 @@ class TestResumption:
             pipe.run_stage(stage, force=True)
         assert len(loads) == 1
         # a segment rerun replaces the kept grid
-        loaded = pipe._grid("annotate")
+        loaded = pipe._grid()
         pipe.run_stage("segment", force=True)
-        assert pipe._grid("annotate") is not loaded
+        assert pipe._grid() is not loaded
         assert len(loads) == 1
 
     def test_unknown_stage_rejected(self, city):

@@ -1,26 +1,34 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from zonefuse.errors import DataError
-from zonefuse.geo_grid import Box, decode, enumerate_cells
+from zonefuse.geo_grid import Box, GeoPoint, decode, enumerate_cells
 from zonefuse.poi_ingest import (
     DEFAULT_CATEGORIES,
+    POI_DTYPE,
     CategoryTable,
     PoiMatrix,
-    PoiRecord,
     build_poi_matrix,
     parse_pois,
     raw_poi_features,
     svd_features,
     tfidf_transform,
 )
+from zonefuse.sparse_io import CHUNK_LINES
 
 
 @pytest.fixture
 def grid():
     return enumerate_cells(Box(35.76, -78.66, 35.781, -78.615), 6)
+
+
+def poi_records(*rows):
+    """A POI_DTYPE record array of (lat, lon, category) rows."""
+    return np.array(list(rows), dtype=POI_DTYPE).view(np.recarray)
 
 
 def make_poi_matrix(P_dense, categories=None):
@@ -74,7 +82,7 @@ class TestParsePois:
                      "35.78,-78.65,2\n")
         records, rejects = parse_pois(f, CategoryTable.default())
         assert rejects == {}
-        assert [r.category for r in records] == [0, 1, 1]
+        assert records.category.tolist() == [0, 1, 1]
 
     def test_unknown_category_reported(self, tmp_path):
         f = tmp_path / "pois.csv"
@@ -98,10 +106,240 @@ class TestParsePois:
             parse_pois(f, CategoryTable.default())
 
 
+def oracle_categories(path):
+    """The row loop CategoryTable.from_csv replaced: csv.DictReader, one
+    int() per id.  Returns (names, lookup)."""
+    names, lookup = [], {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"id", "name"}.issubset(reader.fieldnames):
+            raise DataError(f"{path}: header must contain ['id', 'name']")
+        for row in reader:
+            try:
+                cid = str(int(row["id"]))
+            except (TypeError, ValueError):
+                raise DataError(f"{path}: bad category id {row['id']!r}") from None
+            name = CategoryTable._norm(row["name"] or "")
+            if not name or cid in lookup or name in lookup:
+                raise DataError(f"{path}: duplicate or empty category row {row}")
+            idx = len(names)
+            names.append(row["name"].strip())
+            lookup[name] = idx
+            lookup[cid] = idx
+    return names, lookup
+
+
+def oracle_parse_pois(path, categories):
+    """The row loop parse_pois replaced: csv.DictReader and one GeoPoint
+    per row.  Returns ([(lat, lon, category), ...], rejects)."""
+    records, rejects = [], {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        expected = {"lat", "lon", "category"}
+        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+            raise DataError(f"{path}: header must contain {sorted(expected)}")
+        for i, row in enumerate(reader):
+            try:
+                lat = float(row["lat"])
+                lon = float(row["lon"])
+                GeoPoint(lat, lon)
+                raw = (row["category"] or "").strip()
+                if not raw:
+                    raise ValueError("missing category")
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: malformed row {i + 2}: {exc}") from None
+            idx = categories.resolve(raw)
+            if idx is None:
+                rejects[raw] = rejects.get(raw, 0) + 1
+            else:
+                records.append((lat, lon, idx))
+    return records, rejects
+
+
+def where(error: DataError) -> str:
+    """The part of a DataError both readers word alike: the row number, or
+    the header check."""
+    return re.search(r"malformed row \d+|header must contain \[.*\]", str(error)).group()
+
+
+def crlf_copy(path):
+    copy = path.with_name("crlf_" + path.name)
+    copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return copy
+
+
+POI_CASES = {
+    "quoted": ('lat,lon,category',
+               ['"35.77","-78.64","coffee bar"', '35.77,-78.64,"fast food, drive-in"',
+                '35.77,-78.64,"pets/veterinary"', '35.78,"-78.6""5",fuel']),
+    "quoted_comma_only": ('lat,lon,category',
+                          ['35.77,-78.64,"fast food, drive-in"', '35.77,-78.64,fuel']),
+    "multi_line_field": ('lat,lon,category',
+                         ['35.77,-78.64,"coffee\nbar"', '35.77,-78.64,"hover\nboard"',
+                          '35.78,-78.65,fuel']),
+    "blank_lines": ('lat,lon,category',
+                    ['', '35.77,-78.64,fuel', '', '', '35.78,-78.64,hotel', '']),
+    "long_rows": ('lat,lon,category',
+                  ['35.77,-78.64,fuel,extra', '35.78,-78.64,hotel,,,', '35.79,-78.64,theater']),
+    "short_row": ('lat,lon,category', ['35.77,-78.64,fuel', '', '35.78,-78.64']),
+    "very_short_row": ('lat,lon,category', ['35.77,-78.64,fuel', '35.78']),
+    "reordered": ('category,lon,lat', ['fuel,-78.64,35.77', '3,-78.65,35.78']),
+    "duplicated_columns": ('lat,lon,category,lat,category',
+                           ['0,-78.64,fuel,35.77,hotel', '95,-78.64,,35.78,2']),
+    "duplicated_short": ('lat,lon,category,lat', ['35.77,-78.64,fuel']),
+    "numeric_ids": ('lat,lon,category',
+                    ['35.77,-78.64,2', '35.77,-78.64, 28 ', '35.77,-78.64,29',
+                     '35.77,-78.64,02', '35.77,-78.64,0', '35.77,-78.64,29']),
+    "padded_names": ('lat,lon,category',
+                     ['35.77,-78.64,  Coffee  Bar ', '35.77,-78.64,FAST FOOD',
+                      '35.77,-78.64, space elevator ', '35.77,-78.64,space elevator']),
+    "loose_floats": ('lat,lon,category',
+                     [' 35.77 ,-78.64,fuel', '1_0,1e1,fuel', '90,180,fuel', '-90,-180,fuel',
+                      '-0.0,0,fuel']),
+    "missing_category": ('lat,lon,category', ['35.77,-78.64,fuel', '35.77,-78.64,  ']),
+    "several_malformed": ('lat,lon,category',
+                          ['35.77,-78.64,fuel', '35.77,-78.64,', '95,-78.64,fuel',
+                           'x,-78.64,fuel']),
+    "missing_header_column": ('lat,lon,kind', ['35.77,-78.64,fuel']),
+    "header_only": ('lat,lon,category', []),
+    **{f"coordinate_{name}": ('lat,lon,category',
+                              ['35.77,-78.64,fuel', f'{lat},{lon},fuel', '35.77,-78.64,hotel'])
+       for name, lat, lon in (("nan", "nan", "-78.64"), ("inf", "35.77", "inf"),
+                              ("neg_inf", "-inf", "-78.64"), ("lat_range", "90.5", "-78.64"),
+                              ("lon_range", "35.77", "-180.5"), ("overflow", "1e400", "0"),
+                              ("hex", "0x10", "-78.64"), ("empty", "", "-78.64"),
+                              ("word", "35.77", "west"))},
+}
+
+
+def write_rows(path, header, rows):
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def check_pois(path, categories):
+    """parse_pois against the row loop: the records, the rejects in order,
+    or the row a DataError names."""
+    try:
+        want, want_rejects = oracle_parse_pois(path, categories)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            parse_pois(path, categories)
+        assert where(got.value) == where(exc)
+        return
+    records, rejects = parse_pois(path, categories)
+    assert records.dtype == POI_DTYPE
+    assert records.tolist() == want
+    assert list(rejects.items()) == list(want_rejects.items())
+
+
+class TestParsePoisMatchesRowLoop:
+    @pytest.mark.parametrize("case", sorted(POI_CASES))
+    def test_crafted_file(self, tmp_path, case):
+        f = tmp_path / "pois.csv"
+        write_rows(f, *POI_CASES[case])
+        for path in (f, crlf_copy(f)):
+            check_pois(path, CategoryTable.default())
+
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "pois.csv"
+        f.write_bytes(b"")
+        check_pois(f, CategoryTable.default())
+        with pytest.raises(DataError, match=r"header must contain \['category', 'lat', 'lon'\]"):
+            parse_pois(f, CategoryTable.default())
+
+    def test_custom_table(self, tmp_path):
+        table = tmp_path / "cats.csv"
+        table.write_text('id,name\n10,alpha\n20,"beta, gamma"\n')
+        f = tmp_path / "pois.csv"
+        write_rows(f, "lat,lon,category", ["1,2,alpha", '1,2,"beta,  gamma"', "1,2,20",
+                                           "1,2,2", "1,2,1"])
+        check_pois(f, CategoryTable.from_csv(table))
+
+    @pytest.mark.parametrize("bad_row", [None, 100, CHUNK_LINES - 1, CHUNK_LINES + 5,
+                                         2 * CHUNK_LINES + 1])
+    def test_file_longer_than_a_chunk(self, tmp_path, bad_row):
+        # blank lines and a quoted field spanning the first chunk boundary
+        # shift the line a row starts on, but not its row number
+        rng = np.random.default_rng(11)
+        names = DEFAULT_CATEGORIES + ["hoverboard rental", "space elevator"]
+        rows = [f"{35.7 + rng.uniform(0, 0.1)!r},{-78.7 + rng.uniform(0, 0.1)!r},"
+                f"{names[int(rng.integers(0, len(names)))]}"
+                for _ in range(2 * CHUNK_LINES + 300)]
+        rows[CHUNK_LINES - 2] = '35.75,-78.65,"coffee\nbar"'
+        if bad_row is not None:
+            rows[bad_row] = "95.0,-78.65,fuel"
+        for at in (7, 5000, 6000, 6001):
+            rows.insert(at, "")
+        f = tmp_path / "pois.csv"
+        write_rows(f, "lat,lon,category", rows)
+        for path in (f, crlf_copy(f)):
+            check_pois(path, CategoryTable.default())
+
+
+CATEGORY_CASES = {
+    "plain": ("id,name", ["10,alpha", "20,beta"]),
+    "quoted_comma": ("id,name", ['1,"pets, vets"', '2,"multi\nline"', '3,"say ""hi"""']),
+    "reordered": ("name,id", ["alpha,10", "beta,20"]),
+    "duplicated_columns": ("id,name,id", ["x,alpha,1", "y,beta,2"]),
+    "padded": ("id,name", [" 7 ,  Alpha  Beta ", "+8,gamma", "1_0,delta", "007,eps"]),
+    "blank_lines": ("id,name", ["", "1,alpha", "", "2,beta", ""]),
+    "long_rows": ("id,name", ["1,alpha,extra", "2,beta,,"]),
+    "header_only": ("id,name", []),
+    "bad_id": ("id,name", ["1,alpha", "x,beta"]),
+    "float_id": ("id,name", ["1.0,alpha"]),
+    "empty_id": ("id,name", [",alpha"]),
+    "short_row": ("id,name", ["1,alpha", "2"]),
+    "empty_name": ("id,name", ["1,alpha", "2,   "]),
+    "duplicate_name": ("id,name", ["1,Alpha", "2, alpha "]),
+    "duplicate_id": ("id,name", ["1,alpha", "01,beta"]),
+    "id_equals_earlier_name": ("id,name", ["1,2", "2,beta"]),
+    "missing_header_column": ("id,label", ["1,alpha"]),
+}
+
+
+def check_categories(path):
+    """CategoryTable.from_csv against the row loop: the names and lookup,
+    or the same error."""
+    try:
+        want = oracle_categories(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            CategoryTable.from_csv(path)
+        assert ("header" in str(got.value)) == ("header" in str(exc))
+        return
+    if not want[0]:
+        with pytest.raises(ValueError, match="empty"):
+            CategoryTable.from_csv(path)
+        return
+    table = CategoryTable.from_csv(path)
+    assert (table.names, table.lookup) == want
+    assert list(table.lookup) == list(want[1])
+
+
+class TestCategoriesMatchRowLoop:
+    @pytest.mark.parametrize("case", sorted(CATEGORY_CASES))
+    def test_crafted_file(self, tmp_path, case):
+        f = tmp_path / "cats.csv"
+        write_rows(f, *CATEGORY_CASES[case])
+        for path in (f, crlf_copy(f)):
+            check_categories(path)
+
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "cats.csv"
+        f.write_bytes(b"")
+        check_categories(f)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read category table"):
+            CategoryTable.from_csv(tmp_path / "absent.csv")
+        with pytest.raises(DataError, match="cannot read POI file"):
+            parse_pois(tmp_path / "absent.csv", CategoryTable.default())
+
+
 class TestBuildPoiMatrix:
     def test_counts_land_in_region_columns(self, grid):
         c3 = decode(grid.codes[3]).center()
-        records = [PoiRecord(c3.lat, c3.lon, 0), PoiRecord(c3.lat, c3.lon, 0)]
+        records = poi_records((c3.lat, c3.lon, 0), (c3.lat, c3.lon, 0))
         poi = build_poi_matrix(records, grid, CategoryTable.default())
         assert poi.P.shape == (28, len(grid))
         dense = poi.P
@@ -111,28 +349,28 @@ class TestBuildPoiMatrix:
         assert poi.mask.sum() == 1
 
     def test_outside_grid_dropped(self, grid):
-        poi = build_poi_matrix([PoiRecord(40.0, -78.64, 0)], grid,
+        poi = build_poi_matrix(poi_records((40.0, -78.64, 0)), grid,
                                CategoryTable.default())
         assert np.count_nonzero(poi.P) == 0
         assert poi.dropped == 1
 
     def test_sparsity_and_observed_fraction(self, grid):
         c0 = decode(grid.codes[0]).center()
-        poi = build_poi_matrix([PoiRecord(c0.lat, c0.lon, 5)], grid,
+        poi = build_poi_matrix(poi_records((c0.lat, c0.lon, 5)), grid,
                                CategoryTable.default())
         assert poi.sparsity() == pytest.approx(1.0 - 1.0 / (28 * len(grid)))
         assert poi.observed_fraction() == pytest.approx(1.0 / len(grid))
 
     def test_category_out_of_range_rejected(self, grid):
         with pytest.raises(ValueError):
-            build_poi_matrix([PoiRecord(35.77, -78.64, 99)], grid,
+            build_poi_matrix(poi_records((35.77, -78.64, 99)), grid,
                              CategoryTable.default())
 
     def test_save_load_round_trip(self, grid, tmp_path):
         c1 = decode(grid.codes[1]).center()
         c4 = decode(grid.codes[4]).center()
-        records = [PoiRecord(c1.lat, c1.lon, 2), PoiRecord(c4.lat, c4.lon, 7),
-                   PoiRecord(c4.lat, c4.lon, 7)]
+        records = poi_records((c1.lat, c1.lon, 2), (c4.lat, c4.lon, 7),
+                              (c4.lat, c4.lon, 7))
         poi = build_poi_matrix(records, grid, CategoryTable.default())
         poi.save(tmp_path / "poi.coo", tmp_path / "poi.json")
         loaded = PoiMatrix.load(tmp_path / "poi.coo", tmp_path / "poi.json")
@@ -142,7 +380,7 @@ class TestBuildPoiMatrix:
         assert loaded.P.dtype == np.float64
 
     def test_empty_matrix_round_trip(self, grid, tmp_path):
-        poi = build_poi_matrix([], grid, CategoryTable.default())
+        poi = build_poi_matrix(poi_records(), grid, CategoryTable.default())
         poi.save(tmp_path / "poi.coo", tmp_path / "poi.json")
         assert (tmp_path / "poi.coo").read_bytes() == b""
         loaded = PoiMatrix.load(tmp_path / "poi.coo", tmp_path / "poi.json")

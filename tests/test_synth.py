@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from zonefuse.config import PipelineConfig
-from zonefuse.geo_grid import GeoPoint, cell_spans
+from zonefuse.geo_grid import GeoPoint, cell_spans, load_labels
 from zonefuse.synth import (SIM_START_EPOCH, SynthCitySpec, city_grid,
                             default_poi_dists, default_trip_rates, gen_gps,
                             gen_pois, gen_synthetic_city, planted_labels,
                             write_city_config)
-from zonefuse.zone_cluster import load_labels
+from test_geo_grid import column_of_point
 
 
 def small_spec(**overrides):
@@ -104,7 +104,7 @@ class TestCityGrid:
     def test_origin_point_in_first_cell(self):
         spec = small_spec()
         grid = city_grid(spec)
-        col = grid.column_of_point(GeoPoint(spec.origin_lat, spec.origin_lon))
+        col = column_of_point(grid, GeoPoint(spec.origin_lat, spec.origin_lon))
         assert col == 0
 
 
@@ -118,7 +118,7 @@ class TestGenPois:
         assert pois
         seen = set()
         for lat, lon, cat in pois:
-            col = grid.column_of_point(GeoPoint(lat, lon))
+            col = column_of_point(grid, GeoPoint(lat, lon))
             assert col is not None
             seen.add(col)
         # with every region selected, exactly the non-empty-zone regions emit
@@ -134,7 +134,7 @@ class TestGenPois:
         from zonefuse.poi_ingest import DEFAULT_CATEGORIES
         cat_index = {name: i for i, name in enumerate(DEFAULT_CATEGORIES)}
         for lat, lon, cat in pois:
-            z = labels[grid.column_of_point(GeoPoint(lat, lon))]
+            z = labels[column_of_point(grid, GeoPoint(lat, lon))]
             assert cat_index[cat] in allowed[z]
 
 
@@ -170,7 +170,7 @@ class TestGenGps:
                        np.random.default_rng(2))
         regions = {}
         for user, lat, lon, ts in rows:
-            col = grid.column_of_point(GeoPoint(lat, lon))
+            col = column_of_point(grid, GeoPoint(lat, lon))
             regions.setdefault(user, set()).add(col)
         for cols in regions.values():
             assert len(cols) == 1

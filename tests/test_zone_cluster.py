@@ -7,21 +7,37 @@ import numpy as np
 import pytest
 
 from zonefuse import zone_cluster
-from zonefuse.geo_grid import Box, GridIndex, cell_spans, decode, enumerate_cells
+from zonefuse.geo_grid import (Box, GridIndex, cell_spans, decode, enumerate_cells,
+                               load_labels, save_labels)
 from zonefuse.zone_cluster import (
     ZoneModel,
     adjusted_rand_index,
     crf_fit,
     energy,
-    exhaustive_map,
     fit_gaussians,
     icm_map,
     kmeans,
-    load_labels,
     neighbor_pairs,
-    save_labels,
     window_means,
 )
+
+EXHAUSTIVE_LIMIT = 2_000_000
+
+
+def exhaustive_map(F, model: ZoneModel, shape) -> np.ndarray:
+    """Global energy minimizer on the (n_rows, n_cols) lattice by
+    enumeration; only viable for tiny grids."""
+    X = zone_cluster._points(F)
+    r = X.shape[0]
+    c = model.n_zones
+    n_rows, n_cols = zone_cluster._lattice(shape, r)
+    if c ** r > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{c}^{r} labelings exceed the enumeration limit")
+    U = zone_cluster._unary(X, model.means, model.variances)
+    all_labels = np.array(list(itertools.product(range(c), repeat=r)), dtype=np.int64)
+    unary = U[np.arange(r), all_labels].sum(axis=1)
+    pair = zone_cluster._pair_energy(all_labels.reshape(-1, n_rows, n_cols), model.beta)
+    return all_labels[int(np.argmin(unary + pair))].copy()
 
 
 def features(X: np.ndarray) -> np.ndarray:
