@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .activity_ingest import DEFAULT_STAY_DISTANCE_M, DEFAULT_STAY_DURATION_S
+from .activity_ingest import DEFAULT_STAY_DISTANCE_M, DEFAULT_STAY_DURATION_S, parse_timezone
 from .errors import ConfigError
 from .latent_fusion import Hyperparams
 from .poi_ingest import FEATURE_KINDS
@@ -61,6 +61,8 @@ class PipelineConfig(Hyperparams):
             raise ConfigError(f"level {self.level} outside [1, 12]")
         if self.stay_distance_m <= 0 or self.stay_duration_s <= 0:
             raise ConfigError("stay thresholds must be positive")
+        # raises a ConfigError naming the timezone, before any stage runs
+        parse_timezone(self.timezone)
         if self.method not in METHODS:
             raise ConfigError(f"method {self.method!r} not in {METHODS}")
         if self.feature not in FEATURE_KINDS:

@@ -400,11 +400,12 @@ def _q_step(Z, ZK, nonempty: int, h: Hyperparams):
 
 
 def _update_Z(QTn, QQt, observed, Vo, f: LatentFactors, h: Hyperparams) -> np.ndarray:
-    # two k x k systems: the observed columns' adds the regression term
+    # two k x k systems: every column is solved with the unobserved one,
+    # then the observed columns, whose system adds the regression term,
+    # are solved again over it; each column's solve reads that column only
     H = h.lambda1 * QQt + h.lambda2 * np.eye(h.k)
     B = h.lambda1 * QTn + h.lambda2 * (f.U.T @ f.A)
-    Z = np.empty_like(f.Z)
-    Z[:, ~observed] = _argmin(H, B[:, ~observed], f.Z[:, ~observed])
+    Z = _argmin(H, B, f.Z)
     Z[:, observed] = _argmin(H + h.lambda4 * (f.W.T @ f.W),
                              B[:, observed] + h.lambda4 * (f.W.T @ Vo),
                              f.Z[:, observed])
@@ -419,8 +420,17 @@ def prox_step_A(f: LatentFactors, h: Hyperparams) -> np.ndarray:
     L = h.lambda2 * np.linalg.norm(f.U, 2) ** 2
     if L == 0:
         return np.zeros_like(f.A) if h.lambda3 > 0 else f.A
-    grad = h.lambda2 * (f.U @ (f.U.T @ f.A - f.Z))
-    return soft_threshold(f.A - grad / L, h.lambda3 / L)
+    # soft_threshold(A - l2 U (U^T A - Z) / L, l3 / L), the same operations
+    # in the same order, on one new p x r array; f.A is only read
+    X = f.U.T @ f.A
+    X -= f.Z
+    X = f.U @ X
+    X *= h.lambda2
+    X /= L
+    np.subtract(f.A, X, out=X)
+    t = h.lambda3 / L
+    X -= np.clip(X, -t, t)
+    return X
 
 
 def _update_W(Vo, Zo, f: LatentFactors, h: Hyperparams) -> np.ndarray:

@@ -124,6 +124,14 @@ class TestExitCodes:
         assert f"config error: {key} " in capsys.readouterr().err
         assert not (tmp_path / "nf").exists()
 
+    def test_unknown_timezone_exits_two_before_any_stage(self, city, tmp_path, capsys):
+        base = ["--config", str(city / "config.txt"), "--out-dir", str(tmp_path / "tz"),
+                "--set", "timezone=Mars/Phobos"]
+        for verb in ("run", "status"):
+            assert main([verb] + base) == 2
+            assert "config error: unrecognized timezone 'Mars/Phobos'" in capsys.readouterr().err
+            assert not (tmp_path / "tz" / "cells.csv").exists()
+
     def test_stage_out_of_order_exits_three(self, city, tmp_path, capsys):
         code = main(["fit", "--config", str(city / "config.txt"),
                      "--out-dir", str(tmp_path / "empty")])

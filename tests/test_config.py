@@ -1,4 +1,6 @@
 """Config parsing, validation, and path resolution."""
+import re
+
 import pytest
 
 from zonefuse.config import PipelineConfig, parse_pairs
@@ -95,6 +97,18 @@ class TestValidation:
         # hyperparameter errors surface as config errors
         with pytest.raises(ConfigError):
             make(k="0")
+
+    @pytest.mark.parametrize("zone", ["Mars/Phobos", "UTC+15", "+8:75"])
+    def test_unknown_timezone_rejected_at_load(self, tmp_path, zone):
+        path = tmp_path / "config.txt"
+        lines = [f"{k}={v}" for k, v in REQUIRED.items()] + [f"timezone={zone}"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=rf"timezone.*{re.escape(repr(zone))}"):
+            PipelineConfig.load(path)
+
+    @pytest.mark.parametrize("zone", ["UTC", "", "UTC+8", "-05:30", "America/New_York"])
+    def test_known_timezones_accepted(self, zone):
+        assert make(timezone=zone).timezone == zone
 
     def test_zone_and_beta_bounds(self):
         with pytest.raises(ConfigError, match="zones"):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from test_activity_ingest import traced_peak
 
 from zonefuse import latent_fusion
 from zonefuse.errors import DivergenceError
@@ -125,6 +126,39 @@ class TestSoftThreshold:
             y = soft_threshold(x, theta)
             assert np.all(np.abs(y) <= np.maximum(np.abs(x) - theta, 0.0) + 1e-15)
             assert np.all(np.sign(y[y != 0]) == np.sign(x[y != 0]))
+
+
+def oracle_prox_step_A(f, h):
+    """The A step as one expression over soft_threshold."""
+    L = h.lambda2 * np.linalg.norm(f.U, 2) ** 2
+    if L == 0:
+        return np.zeros_like(f.A) if h.lambda3 > 0 else f.A
+    return soft_threshold(f.A - h.lambda2 * (f.U @ (f.U.T @ f.A - f.Z)) / L, h.lambda3 / L)
+
+
+class TestProxStepA:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_soft_threshold_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        p, r, k = rng.integers(1, 9), rng.integers(1, 40), rng.integers(1, 6)
+        f = random_factors(seed, p, r, k, 4, scale=rng.uniform(0.1, 3.0))
+        h = Hyperparams(k=k, lambda2=rng.uniform(0.1, 3.0), lambda3=rng.uniform(0.0, 0.5))
+        A = f.A.copy()
+        got = prox_step_A(f, h)
+        assert np.array_equal(got, oracle_prox_step_A(f, h))
+        assert np.array_equal(f.A, A)
+
+    @pytest.mark.parametrize("lambda3", [0.0, 0.4])
+    def test_zero_lipschitz_constant(self, lambda3):
+        # U = 0 leaves l3 ||A||_1 alone: A = 0, or A kept when l3 = 0
+        f = random_factors(7, 4, 9, 3, 4)
+        f.U = np.zeros_like(f.U)
+        A = f.A.copy()
+        h = Hyperparams(k=3, lambda3=lambda3)
+        got = prox_step_A(f, h)
+        assert np.array_equal(got, A if lambda3 == 0.0 else np.zeros_like(A))
+        assert np.array_equal(got, oracle_prox_step_A(f, h))
+        assert np.array_equal(f.A, A)
 
 
 class TestObjective:
@@ -722,6 +756,33 @@ class TestSweepOracle:
             assert np.array_equal(getattr(f, name), getattr(want, name)), name
         assert len(trace.totals) == len(totals)
         assert np.allclose(trace.totals, totals, rtol=1e-15, atol=0.0)
+
+
+class TestSweepMemory:
+    """The A and Z steps on the 64x64 benchmark shape, a tenth of the
+    regions observed as in a synthetic city, allocate about two arrays of
+    their block's size, not copies per column set."""
+
+    p, r, k = 28, 4096, 10
+
+    def test_prox_step_A_peak(self):
+        f = random_factors(61, self.p, self.r, self.k, 4)
+        h = Hyperparams(k=self.k, lambda3=0.3)
+        A, peak = traced_peak(prox_step_A, f, h)
+        assert np.array_equal(A, oracle_prox_step_A(f, h))
+        assert peak <= 2.1 * f.A.nbytes
+
+    def test_update_Z_peak(self):
+        rng = np.random.default_rng(62)
+        f = random_factors(63, self.p, self.r, self.k, 4)
+        observed = rng.random(self.r) < 0.1
+        M = rng.normal(size=(self.k, self.k))
+        QTn, QQt = rng.normal(size=(self.k, self.r)), M @ M.T
+        h = Hyperparams(k=self.k, lambda1=0.8, lambda4=0.7, lambda5=0.02)
+        Vo = f.V[:, observed]
+        Z, peak = traced_peak(latent_fusion._update_Z, QTn, QQt, observed, Vo, f, h)
+        assert Z.shape == f.Z.shape
+        assert peak <= 2.6 * f.Z.nbytes
 
 
 class TestTraceAndPersistence:
